@@ -772,8 +772,9 @@ let fault_sweep () =
          commit flushes under fault injection get measured too. *)
       let fm = Metrics.create clock in
       let fspans = Span.create clock in
-      Devarray.set_observability dev ~metrics:fm ~spans:fspans ();
-      Store.set_observability s ~metrics:fm ~spans:fspans ();
+      let tel = Telemetry.create ~metrics:fm ~spans:fspans ~probes:(Probe.create ()) in
+      Devarray.set_observability dev ~tel ();
+      Store.set_observability s ~tel ();
       let reference = Hashtbl.create 8 in
       for gnum = 0 to gens_per_run - 1 do
         ignore (Store.begin_generation s ());

@@ -377,17 +377,17 @@ let cmd_trace path out =
 
 let json_attrs attrs =
   String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%S: %S" k v) attrs)
+    (List.map (fun (k, v) -> Json.quote k ^ ": " ^ Json.quote v) attrs)
 
 let json_event (e : Recorder.event) =
   Printf.sprintf
-    "{\"seq\": %d, \"at_us\": %.1f, \"kind\": %S, \"gen\": %s, \
-     \"detail\": %S, \"attrs\": {%s}}"
+    "{\"seq\": %d, \"at_us\": %.1f, \"kind\": %s, \"gen\": %s, \
+     \"detail\": %s, \"attrs\": {%s}}"
     e.Recorder.ev_seq
     (Duration.to_us e.Recorder.ev_at)
-    e.Recorder.ev_kind
+    (Json.quote e.Recorder.ev_kind)
     (if e.Recorder.ev_gen < 0 then "null" else string_of_int e.Recorder.ev_gen)
-    e.Recorder.ev_detail
+    (Json.quote e.Recorder.ev_detail)
     (json_attrs e.Recorder.ev_attrs)
 
 let json_mark (m : Recorder.capture_mark) =
@@ -430,7 +430,7 @@ let cmd_postmortem path json =
          {\"events\": %d, \"occupancy\": %d, \"dropped\": %d}, \
          \"checks_ok\": %s}"
         (match pm.Machine.pm_crash_reason with
-         | Some r -> Printf.sprintf "%S" r
+         | Some r -> Json.quote r
          | None -> "null")
         (match pm.Machine.pm_recovered_gen with
          | Some g -> string_of_int g
@@ -442,7 +442,7 @@ let cmd_postmortem path json =
         (String.concat ", "
            (List.map string_of_int pm.Machine.pm_unacked_gens))
         (String.concat ", "
-           (List.map (Printf.sprintf "%S") pm.Machine.pm_open_spans))
+           (List.map Json.quote pm.Machine.pm_open_spans))
         (String.concat ", " (List.map json_event pm.Machine.pm_last_alerts))
         (List.length pm.Machine.pm_events)
         (Recorder.occupancy rec_) (Recorder.dropped rec_)
@@ -554,16 +554,16 @@ let cmd_timeline path dst out =
     sep ();
     Buffer.add_string b
       (Printf.sprintf
-         "{\"name\": %S, \"ph\": \"M\", \"pid\": %d, \"args\": {\"name\": %S}}"
-         what pid name)
+         "{\"name\": %s, \"ph\": \"M\", \"pid\": %d, \"args\": {\"name\": %s}}"
+         (Json.quote what) pid (Json.quote name))
   in
   let thread ~pid ~tid name =
     sep ();
     Buffer.add_string b
       (Printf.sprintf
          "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d, \
-          \"args\": {\"name\": %S}}"
-         pid tid name)
+          \"args\": {\"name\": %s}}"
+         pid tid (Json.quote name))
   in
   meta ~pid:1 ~name:"primary" "process_name";
   meta ~pid:2 ~name:"standby" "process_name";
@@ -583,9 +583,9 @@ let cmd_timeline path dst out =
     sep ();
     Buffer.add_string b
       (Printf.sprintf
-         "{\"name\": %S, \"cat\": \"aurora\", \"ph\": \"X\", \"ts\": %.3f, \
+         "{\"name\": %s, \"cat\": \"aurora\", \"ph\": \"X\", \"ts\": %.3f, \
           \"dur\": 1, \"pid\": %d, \"tid\": %d, \"args\": {%s}}"
-         name ts pid tid args)
+         (Json.quote name) ts pid tid args)
   in
   List.iter
     (fun (e : Recorder.event) ->
@@ -616,11 +616,10 @@ let cmd_timeline path dst out =
   sep ();
   Buffer.add_string b
     (Printf.sprintf
-       "{\"name\": %S, \"ph\": \"i\", \"s\": \"g\", \"ts\": %.3f, \"pid\": 2, \
-        \"tid\": 1, \"args\": {\"rpo_generations\": \"%d\", \
+       "{\"name\": \"failover edge: RPO %d generation%s\", \"ph\": \"i\", \"s\": \"g\", \
+        \"ts\": %.3f, \"pid\": 2, \"tid\": 1, \"args\": {\"rpo_generations\": \"%d\", \
         \"acked_primary_gen\": \"%d\"}}"
-       (Printf.sprintf "failover edge: RPO %d generation%s" rpo
-          (if rpo = 1 then "" else "s"))
+       rpo (if rpo = 1 then "" else "s")
        (List.fold_left
           (fun a m -> match stamp m with Some ts -> Float.max a ts | None -> a)
           floor_us mapped)
@@ -650,9 +649,9 @@ let json_obj_attr (a : Types.obj_attribution) =
 
 let json_proc_attr (p : Types.proc_attribution) =
   Printf.sprintf
-    "{\"pid\": %d, \"name\": %S, \"pages\": %d, \"bytes\": %d, \
+    "{\"pid\": %d, \"name\": %s, \"pages\": %d, \"bytes\": %d, \
      \"metadata_bytes\": %d, \"cow_breaks\": %d, \"objects\": %d}"
-    p.Types.p_pid p.Types.p_name p.Types.p_pages p.Types.p_bytes
+    p.Types.p_pid (Json.quote p.Types.p_name) p.Types.p_pages p.Types.p_bytes
     p.Types.p_metadata_bytes p.Types.p_cow_breaks p.Types.p_objects
 
 (* `sls top`: live who-pays-for-checkpoints. A measurement, not a
@@ -686,10 +685,10 @@ let cmd_top path json k =
   if json then begin
     let jrow (entry, g, (b : Types.ckpt_breakdown), a) =
       Printf.sprintf
-        "{\"pgid\": %d, \"app\": %S, \"gen\": %d, \"stop_us\": %.1f, \
+        "{\"pgid\": %d, \"app\": %s, \"gen\": %d, \"stop_us\": %.1f, \
          \"pages\": %d, \"bytes\": %d, \"metadata_bytes\": %d, \
          \"sums_exact\": %s, \"top_procs\": [%s], \"top_objects\": [%s]}"
-        g.Types.pgid entry.app_name b.Types.gen
+        g.Types.pgid (Json.quote entry.app_name) b.Types.gen
         (Duration.to_us b.Types.stop_time)
         a.Types.at_pages_total a.Types.at_bytes_total
         a.Types.at_metadata_bytes_total
@@ -906,11 +905,11 @@ let cmd_replicate path dst pgid loss seed json =
   in
   if json then
     say
-      "{\"app\": %S, \"generations\": %d, \"acked\": %d, \"state\": %S, \
+      "{\"app\": %s, \"generations\": %d, \"acked\": %d, \"state\": %s, \
        \"lag\": %d, \"full_images\": %d, \"delta_images\": %d, \
        \"retransmits\": %d, \"resyncs\": %d, \"corrupt_rejects\": %d, \
        \"duplicate_frames\": %d, \"wire_bytes\": %d, \"ack_rtt_us_mean\": %.1f}"
-      entry.app_name (List.length pgens) st.Replica.acked state lag
+      (Json.quote entry.app_name) (List.length pgens) st.Replica.acked (Json.quote state) lag
       st.Replica.full_images st.Replica.delta_images st.Replica.retransmits
       st.Replica.resyncs st.Replica.corrupt_rejects st.Replica.duplicate_frames
       st.Replica.wire_bytes rtt_mean
@@ -967,7 +966,7 @@ let cmd_failover primary dst json =
   let pids = List.map (fun (pid, _, _, _) -> pid) (Machine.ps du.machine) in
   if json then
     say
-      "{\"state\": %S, \"replicated_generations\": %d, \"acked_primary_gen\": %d, \
+      "{\"state\": \"%s\", \"replicated_generations\": %d, \"acked_primary_gen\": %d, \
        \"rpo_generations\": %d, \"promoted_gen\": %s, \"restored_pids\": [%s]}"
       (if rpo = 0 then "converged" else "degraded")
       (List.length mapped) acked rpo

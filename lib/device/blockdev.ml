@@ -22,16 +22,6 @@ type stats = {
    [done_at]; a crash before that drops them. *)
 type batch = { done_at : Duration.t; writes : (int * content) list }
 
-(* Metric handles for one device. Plain data only (mutable ints and
-   arrays): the CLI marshals whole device arrays into the universe
-   file, so nothing reachable from a device may hold a closure. *)
-type counters = {
-  c_commands : Metrics.counter;
-  c_blocks_read : Metrics.counter;
-  c_blocks_written : Metrics.counter;
-  c_xfer_us : Metrics.histogram;
-}
-
 type t = {
   name : string;
   clock : Clock.t;
@@ -42,31 +32,26 @@ type t = {
   mutable pending : batch list;        (* in-flight batches, newest first *)
   mutable st : stats;
   mutable faults : Fault.injector option;
-  mutable obs_counters : counters option;
-  mutable obs_spans : Span.t option;
-  mutable obs_probes : Probe.t option;
+  mutable tel : Telemetry.dev option;
 }
 
 let zero_stats = { reads = 0; writes = 0; blocks_read = 0; blocks_written = 0; flushes = 0 }
 
-let make_counters name m =
-  let pre = "dev." ^ name ^ "." in
-  { c_commands = Metrics.counter m (pre ^ "commands");
-    c_blocks_read = Metrics.counter m (pre ^ "blocks_read");
-    c_blocks_written = Metrics.counter m (pre ^ "blocks_written");
-    c_xfer_us = Metrics.histogram m (pre ^ "xfer_us") }
-
-let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ?metrics ?spans ?probes
-    ~clock ~profile name =
+let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ?tel ~clock ~profile name =
   { name; clock; profile; capacity_blocks; slots = Hashtbl.create 4096;
     sched = Iosched.create sched; pending = []; st = zero_stats; faults;
-    obs_counters = Option.map (make_counters name) metrics;
-    obs_spans = spans; obs_probes = probes }
+    tel = Option.map (fun tel -> Telemetry.dev tel name) tel }
 
-let set_observability t ?metrics ?spans ?probes () =
-  t.obs_counters <- Option.map (make_counters t.name) metrics;
-  t.obs_spans <- spans;
-  t.obs_probes <- probes
+let set_observability t ?tel () =
+  t.tel <- Option.map (fun tel -> Telemetry.dev tel t.name) tel
+
+(* The one emission site of every transfer. *)
+let note_io t ~op ~cls ~span ~commands ~blocks ~cost ~start_at ~end_at =
+  match t.tel with
+  | None -> ()
+  | Some d ->
+    Telemetry.dev_io d ~op ~cls:(Iosched.cls_name cls) ~span ~commands ~blocks ~cost
+      ~start_at ~end_at
 
 let name t = t.name
 let profile t = t.profile
@@ -95,27 +80,13 @@ let slot t i =
 
 (* Charge a synchronous command: the device may still be draining its
    queue, so completion is max(now, busy_until) + cost. *)
-let note_command t ~op ~blocks cost =
-  match t.obs_counters with
-  | None -> ()
-  | Some c ->
-    Metrics.incr c.c_commands;
-    Metrics.observe_duration c.c_xfer_us cost;
-    (match op with
-     | `Read -> Metrics.add c.c_blocks_read blocks
-     | `Write -> Metrics.add c.c_blocks_written blocks)
-
 let charge_sync t ~cls ~op ~blocks =
   let cost = Profile.transfer_cost t.profile ~op ~bytes:(blocks * block_size) in
-  let _start, completion =
+  let start_at, completion =
     Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks
   in
-  note_command t ~op ~blocks cost;
-  if Probe.on t.obs_probes Probe.Dev_io then
-    Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name
-      ~op:(match op with `Read -> "read" | `Write -> "write")
-      ~cls:(Iosched.cls_name cls)
-      ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks;
+  note_io t ~op:(op :> [ `Read | `Write | `Oob ]) ~cls ~span:false ~commands:1 ~blocks
+    ~cost ~start_at ~end_at:completion;
   Clock.advance_to t.clock completion
 
 (* The command's time is charged before the fault surfaces: a failed
@@ -167,17 +138,8 @@ let read_many_async ?(cls = Iosched.Foreground) t indices =
         Iosched.schedule t.sched ~now:(Clock.now t.clock) ~cls ~cost ~blocks:n
       in
       t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + n };
-      note_command t ~op:`Read ~blocks:n cost;
-      (match t.obs_spans with
-       | None -> ()
-       | Some spans ->
-         Span.record spans ~track:t.name ~name:"dev.read"
-           ~attrs:[ ("blocks", string_of_int n); ("cls", Iosched.cls_name cls) ]
-           ~start_at:start ~end_at:completion ());
-      if Probe.on t.obs_probes Probe.Dev_io then
-        Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name
-          ~op:"read" ~cls:(Iosched.cls_name cls)
-          ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:n;
+      note_io t ~op:`Read ~cls ~span:true ~commands:1 ~blocks:n ~cost ~start_at:start
+        ~end_at:completion;
       completion
     end
   in
@@ -306,24 +268,8 @@ let write_extents ?not_before ?(cls = Iosched.Flush) t extents =
     in
     t.st <- { t.st with writes = t.st.writes + nextents;
                         blocks_written = t.st.blocks_written + nblocks };
-    (match t.obs_counters with
-     | None -> ()
-     | Some c ->
-       Metrics.add c.c_commands nextents;
-       Metrics.add c.c_blocks_written nblocks;
-       Metrics.observe_duration c.c_xfer_us cost);
-    (match t.obs_spans with
-     | None -> ()
-     | Some spans ->
-       Span.record spans ~track:t.name ~name:"dev.write"
-         ~attrs:
-           [ ("blocks", string_of_int nblocks); ("extents", string_of_int nextents);
-             ("cls", Iosched.cls_name cls) ]
-         ~start_at:start ~end_at:completion ());
-    if Probe.on t.obs_probes Probe.Dev_io then
-      Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name ~op:"write"
-        ~cls:(Iosched.cls_name cls)
-        ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:nblocks;
+    note_io t ~op:`Write ~cls ~span:true ~commands:nextents ~blocks:nblocks ~cost
+      ~start_at:start ~end_at:completion;
     (* Content is visible immediately (the store serializes access),
        but the batch is remembered as in-flight so a crash before
        completion can drop it; completion also gates durability on
@@ -358,24 +304,10 @@ let write_oob t writes =
     Iosched.note_unscheduled t.sched ~cls:Iosched.Background ~cost ~blocks:n;
     t.st <- { t.st with writes = t.st.writes + 1;
                         blocks_written = t.st.blocks_written + n };
-    (match t.obs_counters with
-     | None -> ()
-     | Some c ->
-       Metrics.add c.c_commands 1;
-       Metrics.add c.c_blocks_written n;
-       Metrics.observe_duration c.c_xfer_us cost);
     (* OOB writes get their own span: the critical-path analyzer must
        see black-box traffic overlapping the flush window to blame it. *)
-    (match t.obs_spans with
-     | None -> ()
-     | Some spans ->
-       Span.record spans ~track:t.name ~name:"dev.oob"
-         ~attrs:[ ("blocks", string_of_int n); ("cls", "bg") ]
-         ~start_at:start ~end_at:completion ());
-    if Probe.on t.obs_probes Probe.Dev_io then
-      Probe.fire (Option.get t.obs_probes) Probe.Dev_io ~dev:t.name ~op:"oob"
-        ~cls:"bg"
-        ~gen:(-1) ~pgid:(-1) ~us:(Duration.to_us cost) ~blocks:n;
+    note_io t ~op:`Oob ~cls:Iosched.Background ~span:true ~commands:1 ~blocks:n ~cost
+      ~start_at:start ~end_at:completion;
     List.iter (store_block t ~completed:false) writes;
     t.pending <- { done_at = completion; writes } :: t.pending;
     completion

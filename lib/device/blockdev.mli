@@ -29,27 +29,23 @@ type t
 
 val create :
   ?sched:Iosched.config ->
-  ?capacity_blocks:int -> ?faults:Fault.injector -> ?metrics:Metrics.t ->
-  ?spans:Span.t -> ?probes:Probe.t -> clock:Clock.t -> profile:Profile.t ->
-  string -> t
+  ?capacity_blocks:int -> ?faults:Fault.injector -> ?tel:Telemetry.t ->
+  clock:Clock.t -> profile:Profile.t -> string -> t
 (** [create ~clock ~profile name]. [sched] selects the I/O scheduler
     ({!Iosched.Fifo} by default — the historical single-queue timing,
     bit-exact). [capacity_blocks] defaults to unlimited; when set,
     writes past the capacity raise [Invalid_argument]. [faults]
     attaches a media-fault injector (default: a perfect device).
-    [metrics] registers per-device counters ([dev.<name>.commands],
-    [.blocks_read], [.blocks_written]) and a transfer-duration
-    histogram ([dev.<name>.xfer_us]); [spans] records batched
-    transfers ([dev.read] / [dev.write] / [dev.oob]) on a track named
-    after the device, each carrying a [cls] attribute; [probes] fires
-    the [dev.io] tracepoint per command ([op] read/write/oob, [cls]
-    fg/flush/bg/deadline). *)
+    [tel] reports every command through {!Telemetry.dev_io}: per-device
+    counters and a transfer histogram ([dev.<name>.*]), a [dev.read] /
+    [dev.write] / [dev.oob] span per batched transfer on a track named
+    after the device, and the [dev.io] tracepoint ([op] read/write/oob,
+    [cls] fg/flush/bg/deadline). *)
 
-val set_observability :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t -> unit -> unit
-(** Rebind (or, with no arguments, detach) the instrumentation. A
+val set_observability : t -> ?tel:Telemetry.t -> unit -> unit
+(** Rebind (or, with no argument, detach) the instrumentation. A
     machine booted on an existing device calls this so the device
-    reports into the new kernel's registry. *)
+    reports into the new kernel's registries. *)
 
 val name : t -> string
 val profile : t -> Profile.t

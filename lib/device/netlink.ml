@@ -40,10 +40,6 @@ let fault_plan ?(seed = 42L) ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.)
   { seed; drop_rate = drop; duplicate_rate = duplicate; reorder_rate = reorder;
     corrupt_rate = corrupt; partitions }
 
-let plan_is_none p =
-  p.drop_rate = 0. && p.duplicate_rate = 0. && p.reorder_rate = 0.
-  && p.corrupt_rate = 0. && p.partitions = []
-
 (* --- per-direction state ---------------------------------------------- *)
 
 type dir_stats = {

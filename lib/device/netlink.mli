@@ -40,7 +40,6 @@ val fault_plan :
     outside [0,1] or a partition window that ends before it starts. *)
 
 val no_faults : fault_plan
-val plan_is_none : fault_plan -> bool
 
 (* --- per-direction accounting ---------------------------------------- *)
 

@@ -56,13 +56,6 @@ type io_stats = {
   mutable lost_blocks : int;
 }
 
-type counters = {
-  c_commits : Metrics.counter;
-  c_records_put : Metrics.counter;
-  c_pages_put : Metrics.counter;
-  c_flush_us : Metrics.histogram;
-}
-
 (* Per-generation storage provenance, accumulated at write time (from
    [begin_generation] through [commit]) and persisted in the
    generation table so offline inspection sees the same numbers. The
@@ -119,9 +112,7 @@ type t = {
   mutable repair_log : (int * repair_origin) list;
   mutable quarantined : (gen * string) list;
   provs : (gen, provenance) Hashtbl.t;
-  mutable obs_counters : counters option;
-  mutable obs_spans : Span.t option;
-  mutable obs_probes : Probe.t option;
+  mutable tel : Telemetry.store option;
   gen_durable : (gen, Duration.t) Hashtbl.t;
   (* Committed generation -> when its superblock (hence everything it
      references) is durable. The pipeline's per-generation horizon:
@@ -276,10 +267,11 @@ let release_ready_frees t =
   in
   t.deferred <- waiting;
   List.iter (fun (_, blocks) -> Alloc.release t.alloc blocks) ready;
-  if ready <> [] && Probe.on t.obs_probes Probe.Alloc_defer then
-    Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-      ~dev:(Devarray.name t.dev) ~op:"release" ~gen:(-1) ~pgid:(-1) ~us:0.
-      ~blocks:(List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 ready);
+  (match t.tel with
+   | Some s when ready <> [] ->
+     Telemetry.alloc_defer s ~op:"release" ~us:0.
+       ~blocks:(List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 ready)
+   | _ -> ());
   ready <> []
 
 (* Capacity-pressure hook: rather than declare the device full while
@@ -292,11 +284,11 @@ let settle_deferred_frees t =
   | (at, _) :: _ ->
     let now = Clock.now (Devarray.clock t.dev) in
     Devarray.await t.dev at;
-    if Probe.on t.obs_probes Probe.Alloc_defer then
-      Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-        ~dev:(Devarray.name t.dev) ~op:"settle" ~gen:(-1) ~pgid:(-1)
-        ~us:(Duration.to_us (Duration.sub at now))
-        ~blocks:0;
+    Option.iter
+      (fun s ->
+        Telemetry.alloc_defer s ~op:"settle" ~us:(Duration.to_us (Duration.sub at now))
+          ~blocks:0)
+      t.tel;
     ignore (release_ready_frees t);
     true
 
@@ -397,7 +389,7 @@ let make ?(dedup = true) ?prot dev =
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
       repair_log = []; quarantined = []; provs = Hashtbl.create 16;
-      obs_counters = None; obs_spans = None; obs_probes = None;
+      tel = None;
       gen_durable = Hashtbl.create 16; sb_horizon = Duration.zero;
       deferred = []; bbox_seq = 0; read_cls = Iosched.Foreground }
   in
@@ -570,18 +562,8 @@ let protection t = t.prot
 let read_class t = t.read_cls
 let set_read_class t cls = t.read_cls <- cls
 
-let set_observability t ?metrics ?spans ?probes () =
-  t.obs_counters <-
-    Option.map
-      (fun m ->
-        let pre = "store." ^ Devarray.name t.dev ^ "." in
-        { c_commits = Metrics.counter m (pre ^ "commits");
-          c_records_put = Metrics.counter m (pre ^ "records_put");
-          c_pages_put = Metrics.counter m (pre ^ "pages_put");
-          c_flush_us = Metrics.histogram m (pre ^ "flush_us") })
-      metrics;
-  t.obs_spans <- spans;
-  t.obs_probes <- probes
+let set_observability t ?tel () =
+  t.tel <- Option.map (fun tel -> Telemetry.store tel (Devarray.name t.dev)) tel
 
 (* --- commit ---------------------------------------------------------- *)
 
@@ -669,9 +651,7 @@ let note_dedup_saved t ~hits ~bytes =
 
 let put_record t ~oid data =
   let _, root = require_open t in
-  (match t.obs_counters with
-   | Some c -> Metrics.incr c.c_records_put
-   | None -> ());
+  Option.iter (fun s -> Telemetry.store_put s ~records:1 ~pages:0) t.tel;
   (match open_prov t with
    | Some p ->
      p.pv_records <- p.pv_records + 1;
@@ -706,9 +686,7 @@ let put_record t ~oid data =
 
 let put_page t ~oid ~pindex ~seed =
   let _ = require_open t in
-  (match t.obs_counters with
-   | Some c -> Metrics.incr c.c_pages_put
-   | None -> ());
+  Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:1) t.tel;
   (match open_prov t with
    | Some p ->
      p.pv_pages <- p.pv_pages + 1;
@@ -737,9 +715,7 @@ let put_page t ~oid ~pindex ~seed =
 let put_pages t ~oid pages =
   let _ = require_open t in
   let n = Array.length pages in
-  (match t.obs_counters with
-   | Some c -> Metrics.add c.c_pages_put n
-   | None -> ());
+  Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:n) t.tel;
   (match open_prov t with
    | Some p ->
      p.pv_pages <- p.pv_pages + n;
@@ -899,10 +875,9 @@ let write_superblock ?(after = Duration.zero) t =
   (match Alloc.take_parked t.alloc with
    | [] -> ()
    | parked ->
-     if Probe.on t.obs_probes Probe.Alloc_defer then
-       Probe.fire (Option.get t.obs_probes) Probe.Alloc_defer
-         ~dev:(Devarray.name t.dev) ~op:"park" ~gen:(-1) ~pgid:(-1) ~us:0.
-         ~blocks:(List.length parked);
+     Option.iter
+       (fun s -> Telemetry.alloc_defer s ~op:"park" ~us:0. ~blocks:(List.length parked))
+       t.tel;
      t.deferred <- t.deferred @ [ (durable_at, parked) ]);
   t.sb_horizon <- durable_at;
   ignore (release_ready_frees t);
@@ -1022,23 +997,9 @@ let rebuild t =
 (* --- commit (continued) ---------------------------------------------- *)
 
 let note_flush t ~gen ~started ~durable_at ~data_blocks =
-  (match t.obs_counters with
-   | Some c ->
-     Metrics.incr c.c_commits;
-     Metrics.observe_duration c.c_flush_us (Duration.sub durable_at started)
-   | None -> ());
-  (match t.obs_spans with
-   | Some spans ->
-     Span.record spans ~track:("store." ^ Devarray.name t.dev) ~name:"store.flush"
-       ~attrs:
-         [ ("gen", string_of_int gen); ("data_blocks", string_of_int data_blocks) ]
-       ~start_at:started ~end_at:durable_at ()
-   | None -> ());
-  if Probe.on t.obs_probes Probe.Store_commit then
-    Probe.fire (Option.get t.obs_probes) Probe.Store_commit
-      ~dev:(Devarray.name t.dev) ~op:"commit" ~gen ~pgid:(-1)
-      ~us:(Duration.to_us (Duration.sub durable_at started))
-      ~blocks:data_blocks
+  Option.iter
+    (fun s -> Telemetry.store_commit s ~gen ~started ~durable_at ~data_blocks)
+    t.tel
 
 let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   let g, root = require_open t in
@@ -1145,15 +1106,6 @@ let wait_all_durable t =
   if (Devarray.profile t.dev).Profile.volatile_cache then Devarray.flush t.dev
   else Devarray.await t.dev t.sb_horizon;
   ignore (release_ready_frees t)
-
-let inflight_generations t =
-  let now = Clock.now (Devarray.clock t.dev) in
-  Hashtbl.fold
-    (fun g at acc -> if Duration.(at > now) then g :: acc else acc)
-    t.gen_durable []
-  |> List.sort Int.compare
-
-let has_open_generation t = t.open_gen <> None
 
 (* --- reading --------------------------------------------------------- *)
 

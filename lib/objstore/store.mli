@@ -103,16 +103,14 @@ val set_read_class : t -> Iosched.cls -> unit
     after, so verification traffic never competes with application
     reads for the scheduler's reserved slack. *)
 
-val set_observability :
-  t -> ?metrics:Metrics.t -> ?spans:Span.t -> ?probes:Probe.t -> unit -> unit
-(** Rebind (or, with no arguments, detach) instrumentation. With
-    [metrics], the store registers [store.<dev>.commits],
-    [.records_put], [.pages_put] counters and a [.flush_us] histogram;
-    with [spans], every commit records a [store.flush] span from
-    commit entry to the superblock's durability instant, parented to
-    whatever span is open at the time (the checkpoint root during a
-    checkpoint); with [probes], commits fire [store.commit] and the
-    deferred-free pen fires [alloc.defer] (op park/release/settle). *)
+val set_observability : t -> ?tel:Telemetry.t -> unit -> unit
+(** Rebind (or, with no argument, detach) instrumentation: puts and
+    commits report through {!Telemetry.store_put} /
+    {!Telemetry.store_commit} (the [store.<dev>.*] metrics, a
+    [store.flush] span from commit entry to the superblock's
+    durability instant parented to whatever span is open at the time,
+    the [store.commit] tracepoint), and the deferred-free pen through
+    {!Telemetry.alloc_defer} (op park/release/settle). *)
 
 (* --- building a generation ----------------------------------------- *)
 
@@ -182,12 +180,6 @@ val wait_all_durable : t -> unit
     durable (flush, on a volatile-cache device) and settle any
     deferred frees that became releasable. Unlike the old whole-array
     barrier this awaits only the store's own writes. *)
-
-val inflight_generations : t -> gen list
-(** Committed generations whose superblock is not yet durable at the
-    current simulated time, ascending. *)
-
-val has_open_generation : t -> bool
 
 (* --- the black-box slot ---------------------------------------------- *)
 

@@ -42,15 +42,14 @@ type t = {
   mutable next_pid : int;
   containers : (int, Container.t) Hashtbl.t;
   mutable next_cid : int;
-  trace : Tracelog.t;
-  metrics : Metrics.t;  (** the machine-wide metrics registry *)
-  spans : Span.t;       (** the machine-wide span recorder *)
+  tel : Telemetry.t;
+  (** the machine-wide metrics registry, span recorder and tracepoint
+      registry, and the one emission path into them *)
   recorder : Recorder.t;
   (** the crash-surviving flight recorder; the checkpoint engine
       persists it through the store each epoch *)
   probes : Probe.t;
-  (** the machine-wide dynamic-tracepoint registry; devices, the
-      store, the checkpoint engine and replication fire into it *)
+  (** [tel]'s tracepoint registry, where queries subscribe *)
   prng : Prng.t;
   mutable send_hook : send_hook option;
   mutable sls_ops : (pid:int -> sls_op -> sls_result) option;

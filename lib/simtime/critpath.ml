@@ -320,19 +320,6 @@ let render r =
     | [] -> ());
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -348,9 +335,9 @@ let to_json r =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"track\":\"%s\",\"start_us\":%.3f,\
+           "{\"name\":%s,\"track\":%s,\"start_us\":%.3f,\
             \"end_us\":%.3f,\"us\":%.3f,\"pct\":%.3f}"
-           (json_escape s.sg_name) (json_escape s.sg_track)
+           (Json.quote s.sg_name) (Json.quote s.sg_track)
            (Duration.to_us s.sg_start)
            (Duration.to_us s.sg_end)
            s.sg_us s.sg_pct))
@@ -360,12 +347,12 @@ let to_json r =
     (fun i a ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"us\":%.3f}" (json_escape a.an_name)
+        (Printf.sprintf "{\"name\":%s,\"us\":%.3f}" (Json.quote a.an_name)
            a.an_us))
     r.cp_antagonists;
   Buffer.add_string buf "],\"top_antagonist\":";
   (match top_antagonist r with
-  | Some a -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape a.an_name))
+  | Some a -> Buffer.add_string buf (Json.quote a.an_name)
   | None -> Buffer.add_string buf "null");
   Buffer.add_char buf '}';
   Buffer.contents buf

@@ -216,21 +216,6 @@ let jfloat b v =
     Buffer.add_string b (Printf.sprintf "%.6g" v)
   else Buffer.add_string b "null"
 
-let jstring b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let to_json t =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"at_us\": ";
@@ -240,7 +225,7 @@ let to_json t =
   List.iter
     (fun (name, v) ->
       if !first then first := false else Buffer.add_string b ", ";
-      jstring b name;
+      Buffer.add_string b (Json.quote name);
       Buffer.add_string b ": ";
       match v with
       | Counter c -> Buffer.add_string b (Printf.sprintf "{\"type\": \"counter\", \"value\": %d}" c)

@@ -703,20 +703,6 @@ let render rp =
   if rp.rp_rows = [] then Buffer.add_string buf "  (no matching events)\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_num v =
   if Float.is_finite v then Printf.sprintf "%g" v else "null"
 
@@ -724,9 +710,9 @@ let report_json rp =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"id\":%d,\"query\":\"%s\",\"point\":\"%s\",\"fired\":%d,\"matched\":%d,\"rows\":["
+       "{\"id\":%d,\"query\":%s,\"point\":\"%s\",\"fired\":%d,\"matched\":%d,\"rows\":["
        rp.rp_id
-       (json_escape (print rp.rp_spec))
+       (Json.quote (print rp.rp_spec))
        (point_name rp.rp_spec.sp_point)
        rp.rp_fired rp.rp_matched);
   List.iteri
@@ -734,8 +720,8 @@ let report_json rp =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"key\":\"%s\",\"n\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
-           (json_escape r.r_key) r.r_n (json_num r.r_sum) (json_num r.r_min)
+           "{\"key\":%s,\"n\":%d,\"sum\":%s,\"min\":%s,\"max\":%s"
+           (Json.quote r.r_key) r.r_n (json_num r.r_sum) (json_num r.r_min)
            (json_num r.r_max));
       if Array.length r.r_buckets > 0 then begin
         Buffer.add_string buf ",\"buckets\":[";

@@ -133,19 +133,6 @@ let clear t =
 
 (* --- Chrome trace_event export --------------------------------------- *)
 
-let escape b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_chrome_json t =
   let now = Clock.now t.clock in
   let b = Buffer.create 8192 in
@@ -172,7 +159,7 @@ let to_chrome_json t =
         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
       Buffer.add_string b (string_of_int tid);
       Buffer.add_string b ", \"args\": {\"name\": \"";
-      escape b track;
+      Json.add_escaped b track;
       Buffer.add_string b "\"}}")
     (List.rev !tid_order);
   List.iter
@@ -181,7 +168,7 @@ let to_chrome_json t =
       let end_at = if s.closed then s.end_at else now in
       let dur = Duration.to_us (Duration.sub end_at s.start_at) in
       Buffer.add_string b "{\"name\": \"";
-      escape b s.name;
+      Json.add_escaped b s.name;
       Buffer.add_string b "\", \"cat\": \"aurora\", \"ph\": \"X\", \"ts\": ";
       Buffer.add_string b (Printf.sprintf "%.3f" (Duration.to_us s.start_at));
       Buffer.add_string b ", \"dur\": ";
@@ -195,9 +182,9 @@ let to_chrome_json t =
       List.iter
         (fun (k, v) ->
           Buffer.add_string b ", \"";
-          escape b k;
+          Json.add_escaped b k;
           Buffer.add_string b "\": \"";
-          escape b v;
+          Json.add_escaped b v;
           Buffer.add_string b "\"")
         s.attrs;
       Buffer.add_string b "}}")

@@ -24,6 +24,5 @@ val percentile : t -> float -> float
     [0,100]. *)
 
 val median : t -> float
-val stddev : t -> float
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [n/mean/p50/p99/max] summary. *)

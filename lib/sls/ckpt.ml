@@ -174,14 +174,12 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
     | None -> if g.Types.incremental then `Incremental else `Full
   in
   let clock = k.Kernel.clock in
-  let spans = k.Kernel.spans in
-  let metrics = k.Kernel.metrics in
+  let tel = k.Kernel.tel in
+  let spans = Telemetry.spans tel in
   let barrier_at = Clock.now clock in
   let root =
-    Span.start spans "ckpt"
-      ~attrs:
-        [ ("pgid", string_of_int g.Types.pgid);
-          ("mode", match mode with `Full -> "full" | `Incremental -> "incr") ]
+    Telemetry.ckpt_begin tel ~pgid:g.Types.pgid
+      ~mode:(match mode with `Full -> "full" | `Incremental -> "incr")
   in
 
   (* --- barrier: quiesce ---------------------------------------------- *)
@@ -257,9 +255,7 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
   Kernel.charge k
     (Costmodel.page_copy
        ~pages:((String.length ring_blob + page_bytes - 1) / page_bytes));
-  Metrics.observe_duration
-    (Metrics.histogram metrics "ckpt.recorder_us")
-    (Span.finish spans s_rec);
+  Telemetry.ckpt_recorder tel s_rec;
   (* Attribution is barrier-side data (who dirtied what), valid even if
      the flush below degrades; reading it also resets the per-object
      COW-break counters for the next cycle. *)
@@ -376,32 +372,14 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
       (`Ok, durable_at)
     | Error reason -> (`Degraded reason, barrier_at)
   in
-  ignore
-    (Span.finish spans root
-       ~attrs:
-         [ ("gen", string_of_int gen);
-           ("pages", string_of_int pages_captured);
-           ("status",
-            match status with `Ok -> "ok" | `Degraded r -> "degraded: " ^ r) ]);
-  (* Phase histograms and counters. The flush window (barrier end to
-     durability) only exists for committed checkpoints. *)
-  Metrics.incr (Metrics.counter metrics "ckpt.count");
-  Metrics.add (Metrics.counter metrics "ckpt.pages_captured") pages_captured;
-  Metrics.add
-    (Metrics.counter metrics "ckpt.cow_breaks")
-    (List.fold_left
-       (fun acc a -> acc + a.Types.a_cow_breaks)
-       0 attrib.Types.at_objects);
-  Metrics.observe_duration (Metrics.histogram metrics "ckpt.stop_us") stop_time;
-  Metrics.observe_duration (Metrics.histogram metrics "ckpt.quiesce_us") quiesce;
-  Metrics.observe_duration (Metrics.histogram metrics "ckpt.serialize_us") metadata_copy;
-  Metrics.observe_duration (Metrics.histogram metrics "ckpt.cow_mark_us") lazy_data_copy;
-  (* The flush window (barrier end to durability) is observed by
+  (* The flush window (barrier end to durability) is reported by
      {!finalize} when the generation's writes land — possibly several
      epochs later under pipelining. *)
-  (match status with
-   | `Ok -> ()
-   | `Degraded _ -> Metrics.incr (Metrics.counter metrics "ckpt.degraded"));
+  Telemetry.ckpt_captured tel ~root ~gen ~pgid:g.Types.pgid ~pages:pages_captured
+    ~cow_breaks:
+      (List.fold_left (fun acc a -> acc + a.Types.a_cow_breaks) 0 attrib.Types.at_objects)
+    ~quiesce ~serialize:metadata_copy ~cow_mark:lazy_data_copy ~stop:stop_time
+    ~degraded:(match status with `Ok -> None | `Degraded r -> Some r);
   let breakdown =
     {
       Types.gen;
@@ -419,21 +397,6 @@ let capture (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?(with_fs = true)
     }
   in
   g.Types.last_breakdown <- Some breakdown;
-  if Probe.enabled k.Kernel.probes Probe.Ckpt_phase then begin
-    let fire op d =
-      Probe.fire k.Kernel.probes Probe.Ckpt_phase ~dev:"" ~op ~gen
-        ~pgid:g.Types.pgid ~us:(Duration.to_us d) ~blocks:pages_captured
-    in
-    fire "quiesce" quiesce;
-    fire "serialize" metadata_copy;
-    fire "cow_mark" lazy_data_copy;
-    fire "stop" stop_time
-  end;
-  Tracelog.recordf k.Kernel.trace ~subsystem:"ckpt"
-    "pgroup %d gen %d %s stop=%.1fus pages=%d%s" g.Types.pgid gen
-    (match mode with `Full -> "full" | `Incremental -> "incr")
-    (Duration.to_us stop_time) pages_captured
-    (match status with `Ok -> "" | `Degraded r -> " degraded: " ^ r);
   breakdown
 
 (* Completion side of the pipeline: runs when the clock has passed the
@@ -444,28 +407,12 @@ let finalize (k : Kernel.t) (g : Types.pgroup) (b : Types.ckpt_breakdown) =
   match b.Types.status with
   | `Degraded _ -> ()
   | `Ok ->
-    let metrics = k.Kernel.metrics in
     Kernel.charge k Costmodel.ckpt_retire;
     Recorder.note_retire k.Kernel.recorder ~gen:b.Types.gen;
-    let flush_started = Duration.add b.Types.barrier_at b.Types.stop_time in
-    (* Background-flush window: end of the stop window to durability. *)
-    Metrics.observe_duration
-      (Metrics.histogram metrics "ckpt.flush_us")
-      (Duration.sub b.Types.durable_at flush_started);
-    (* How long the epoch stayed volatile after releasing the app. *)
-    Metrics.observe_duration
-      (Metrics.histogram metrics "ckpt.durable_lag_us")
-      (Duration.sub b.Types.durable_at b.Types.barrier_at);
-    Span.record k.Kernel.spans ~track:"ckpt.pipeline" ~name:"ckpt.flush"
-      ~attrs:
-        [ ("pgid", string_of_int g.Types.pgid);
-          ("gen", string_of_int b.Types.gen) ]
-      ~start_at:flush_started ~end_at:b.Types.durable_at ();
-    if Probe.enabled k.Kernel.probes Probe.Ckpt_phase then
-      Probe.fire k.Kernel.probes Probe.Ckpt_phase ~dev:"" ~op:"flush"
-        ~gen:b.Types.gen ~pgid:g.Types.pgid
-        ~us:(Duration.to_us (Duration.sub b.Types.durable_at flush_started))
-        ~blocks:b.Types.pages_captured
+    Telemetry.ckpt_flushed k.Kernel.tel ~gen:b.Types.gen ~pgid:g.Types.pgid
+      ~pages:b.Types.pages_captured ~barrier_at:b.Types.barrier_at
+      ~flush_started:(Duration.add b.Types.barrier_at b.Types.stop_time)
+      ~durable_at:b.Types.durable_at
 
 let checkpoint (k : Kernel.t) (g : Types.pgroup) ?mode ?name ?with_fs () =
   let b = capture k g ?mode ?name ?with_fs () in

@@ -47,8 +47,8 @@ and postmortem = {
 
 let clock t = t.kernel.Kernel.clock
 let now t = Clock.now (clock t)
-let metrics t = t.kernel.Kernel.metrics
-let spans t = t.kernel.Kernel.spans
+let metrics t = Telemetry.metrics t.kernel.Kernel.tel
+let spans t = Telemetry.spans t.kernel.Kernel.tel
 let recorder t = t.kernel.Kernel.recorder
 let postmortem t = t.postmortem
 
@@ -124,7 +124,6 @@ let sync_metrics t =
          set ("repl.link." ^ label ^ ".partition_drops") st.Netlink.partition_drops)
        [ ("tx", (`A : Netlink.side)); ("rx", `B) ]
    | None -> ());
-  set "trace.events_dropped" (Tracelog.dropped t.kernel.Kernel.trace);
   set "trace.spans_dropped" (Span.dropped (spans t));
   set "trace.span_orphans" (Span.orphan_finishes (spans t));
   set "recorder.capacity" (Recorder.capacity (recorder t));
@@ -143,15 +142,14 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
      and span recorder. On [boot] the devices survive from the previous
      incarnation (possibly unmarshaled from a universe file) and must
      not keep reporting into the dead kernel's handles. *)
-  let metrics = kernel.Kernel.metrics and spans = kernel.Kernel.spans in
-  let probes = kernel.Kernel.probes in
-  Devarray.set_observability nvme ~metrics ~spans ~probes ();
-  Devarray.set_observability memdev ~metrics ~spans ~probes ();
-  Store.set_observability disk_store ~metrics ~spans ~probes ();
-  Store.set_observability mem_store ~metrics ~spans ~probes ();
+  let tel = kernel.Kernel.tel in
+  Devarray.set_observability nvme ~tel ();
+  Devarray.set_observability memdev ~tel ();
+  Store.set_observability disk_store ~tel ();
+  Store.set_observability mem_store ~tel ();
   let swap_dev =
-    Blockdev.create ~metrics ~spans ~probes ~clock:kernel.Kernel.clock
-      ~profile:(Devarray.profile nvme) "swap0"
+    Blockdev.create ~tel ~clock:kernel.Kernel.clock ~profile:(Devarray.profile nvme)
+      "swap0"
   in
   let swap = Swap.create ~dev:swap_dev ~pool:kernel.Kernel.pool in
   let rec t =
@@ -172,7 +170,7 @@ let build_on ?(max_inflight_ckpts = 2) ~kernel ~nvme ~memdev ~disk_store
   in
   let m = Lazy.force t in
   (* Gauges derived from layer state refresh on every export. *)
-  Metrics.on_snapshot metrics (fun () -> sync_metrics m);
+  Metrics.on_snapshot (Telemetry.metrics tel) (fun () -> sync_metrics m);
   m
 
 let create ?(storage_profile = Profile.optane_900p) ?stripes ?capacity_pages
@@ -324,7 +322,9 @@ let checkpoint_now t g ?mode ?name () =
        Recorder.note_alert (recorder t) ~kind:"stop_time" ~pgid:al.Slo.al_pgid
          ~observed_us:al.Slo.al_observed_us ~target_us:al.Slo.al_target_us
      | None -> ());
-  let backpressure = ref Duration.zero in
+  (* The pipeline wait, as a [start, end] window (empty when the
+     pipeline had room). *)
+  let bp_window = ref (now t, now t) in
   (match b.Types.status with
    | `Degraded _ ->
      (* The generation never committed: nothing to stamp, export or
@@ -392,26 +392,22 @@ let checkpoint_now t g ?mode ?name () =
          t.pending_ckpts <- rest;
          complete_one t pc
      done;
-     backpressure := Duration.sub (now t) bp_started;
-     (* A non-zero wait leaves a span on the pipeline track: the
-        critical-path analyzer charges it as an antagonist of whatever
-        epoch it overlaps. *)
-     if Duration.(!backpressure > zero) then
-       Span.record (spans t) ~track:"ckpt.pipeline" ~name:"ckpt.backpressure"
-         ~attrs:[ ("pgid", string_of_int g.Types.pgid) ]
-         ~start_at:bp_started ~end_at:(now t) ());
+     bp_window := (bp_started, now t));
   (* Saturation is visible, not silent: the wait (zero when the
-     pipeline had room) is a histogram aligned 1:1 with ckpt.count. *)
-  Metrics.observe_duration
-    (Metrics.histogram (metrics t) "ckpt.backpressure_us")
-    !backpressure;
+     pipeline had room) is a histogram aligned 1:1 with ckpt.count, and
+     a non-zero wait leaves a span on the pipeline track that the
+     critical-path analyzer charges as an antagonist of whatever epoch
+     it overlaps. *)
+  let bp_started, bp_ended = !bp_window in
+  Telemetry.ckpt_backpressure t.kernel.Kernel.tel ~pgid:g.Types.pgid
+    ~start_at:bp_started ~end_at:bp_ended;
   (* A compact per-checkpoint metrics snapshot rides in the ring, so a
      post-mortem sees the tail of the machine's vitals, not just its
      events. *)
   Recorder.note_metrics (recorder t)
     [ ("ckpt.stop_us", Duration.to_us b.Types.stop_time);
       ("ckpt.pages_captured", float_of_int b.Types.pages_captured);
-      ("ckpt.backpressure_us", Duration.to_us !backpressure) ];
+      ("ckpt.backpressure_us", Duration.to_us (Duration.sub bp_ended bp_started)) ];
   b
 
 (* --- the orchestrator loop ------------------------------------------- *)
@@ -816,8 +812,8 @@ let attach_standby t ?faults ?(link_profile = Profile.net_10gbe) ?ack_timeout
       Store.format ~dev ()
   in
   let repl =
-    Replica.establish ?ack_timeout ?max_attempts ~metrics:(metrics t)
-      ~spans:(spans t) ~probes:t.kernel.Kernel.probes ~link ~primary_side:`A
+    Replica.establish ?ack_timeout ?max_attempts ~tel:t.kernel.Kernel.tel ~link
+      ~primary_side:`A
       ~primary:t.disk_store ~standby:store ()
   in
   t.standby <- Some (g.Types.pgid, repl);

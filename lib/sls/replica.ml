@@ -140,9 +140,7 @@ type t = {
   max_attempts : int;
   max_backoff : Duration.t;
   prng : Prng.t;  (* retransmission jitter *)
-  metrics : Metrics.t option;
-  spans : Span.t option;
-  probes : Probe.t option;
+  tel : Telemetry.t option;
   mutable next_seq : int;
   (* primary-side transmitter state *)
   mutable acked : Store.gen option;  (* last primary gen acked durable *)
@@ -203,11 +201,10 @@ let session_counter = ref 0
 
 let bump t f = t.st <- f t.st
 
-let metric_incr t name =
-  Option.iter (fun m -> Metrics.incr (Metrics.counter m name)) t.metrics
+let metric_incr t name = Option.iter (fun tel -> Telemetry.count tel name) t.tel
 
 let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
-    ?(max_backoff = Duration.milliseconds 40) ?metrics ?spans ?probes ~link
+    ?(max_backoff = Duration.milliseconds 40) ?tel ~link
     ~primary_side ~primary ~standby () =
   if max_attempts < 1 then invalid_arg "Replica.establish: max_attempts < 1";
   incr session_counter;
@@ -229,8 +226,8 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
     else (standby, map)
   in
   let latest = match List.rev map with (p, _) :: _ -> Some p | [] -> None in
-  (match metrics with
-   | Some m when ahead -> Metrics.incr (Metrics.counter m "repl.quarantines")
+  (match tel with
+   | Some tel when ahead -> Telemetry.count tel "repl.quarantines"
    | _ -> ());
   {
     link; primary_side; primary; standby;
@@ -238,7 +235,7 @@ let establish ?(ack_timeout = Duration.milliseconds 5) ?(max_attempts = 10)
     sid = !session_counter;
     ack_timeout; max_attempts; max_backoff;
     prng = Prng.create ~seed:(Int64.of_int (0x5EED + !session_counter));
-    metrics; spans; probes;
+    tel;
     next_seq = 1;
     acked = latest;
     state = `Idle;
@@ -270,16 +267,16 @@ let standby_side t : Netlink.side =
 let send_frame t ~from_ p =
   let raw = encode_frame ~sid:t.sid p in
   bump t (fun s -> { s with wire_bytes = s.wire_bytes + String.length raw });
-  if Probe.on t.probes Repl_msg then begin
-    let op, gen, pgid =
-      match p with
-      | Data { primary_gen; pgid; _ } -> ("data", primary_gen, pgid)
-      | Ack { primary_gen; _ } -> ("ack", primary_gen, -1)
-      | Nak { have; _ } -> ("nak", Option.value have ~default:(-1), -1)
-    in
-    Probe.fire (Option.get t.probes) Repl_msg ~dev:"link" ~op ~gen ~pgid
-      ~us:0.0 ~blocks:(String.length raw)
-  end;
+  (match t.tel, p with
+   | None, _ -> ()
+   | Some tel, Data { primary_gen; pgid; _ } ->
+     Telemetry.repl_frame tel ~op:"data" ~gen:primary_gen ~pgid ~bytes:(String.length raw)
+   | Some tel, Ack { primary_gen; _ } ->
+     Telemetry.repl_frame tel ~op:"ack" ~gen:primary_gen ~pgid:(-1)
+       ~bytes:(String.length raw)
+   | Some tel, Nak { have; _ } ->
+     Telemetry.repl_frame tel ~op:"nak" ~gen:(Option.value have ~default:(-1)) ~pgid:(-1)
+       ~bytes:(String.length raw));
   ignore (Netlink.send t.link ~from_ raw)
 
 (* --- standby end ------------------------------------------------------ *)
@@ -446,14 +443,6 @@ let choose_mode t ~gen =
   | Some a when a < gen && List.mem a (Store.generations t.primary) -> `Delta a
   | Some _ | None -> `Full
 
-let observe_rtt t rtt =
-  Option.iter
-    (fun m -> Metrics.observe_duration (Metrics.histogram m "repl.ack_rtt_us") rtt)
-    t.metrics
-
-let set_lag_gauge t =
-  Option.iter (fun m -> Metrics.set_int (Metrics.gauge m "repl.lag") (lag t)) t.metrics
-
 let ship t ~gen ~pgid =
   let already = match t.acked with Some a -> gen <= a | None -> false in
   if already then begin
@@ -541,28 +530,18 @@ let ship t ~gen ~pgid =
     (match outcome with
      | `Acked ->
        t.state <- `Idle;
-       bump t (fun s -> { s with acked = s.acked + 1 });
-       metric_incr t "repl.acked";
-       observe_rtt t rtt
+       bump t (fun s -> { s with acked = s.acked + 1 })
      | `Gave_up ->
        t.state <- `Degraded;
-       bump t (fun s -> { s with gave_up = s.gave_up + 1 });
-       metric_incr t "repl.gave_up");
-    set_lag_gauge t;
-    if Probe.on t.probes Repl_msg then
-      Probe.fire (Option.get t.probes) Repl_msg ~dev:"link" ~op:"ship" ~gen
-        ~pgid ~us:(Duration.to_us rtt) ~blocks:!bytes;
+       bump t (fun s -> { s with gave_up = s.gave_up + 1 }));
     Option.iter
-      (fun sp ->
-        Span.record sp ~track:"repl" ~name:"repl.ship"
-          ~attrs:
-            [ ("gen", string_of_int gen);
-              ("corr", corr_id t ~gen);
-              ("mode", match !mode with `Full -> "full" | `Delta b -> Printf.sprintf "delta(%d)" b);
-              ("attempts", string_of_int !attempts);
-              ("outcome", match outcome with `Acked -> "acked" | `Gave_up -> "gave_up") ]
-          ~start_at:started ~end_at:(Clock.now t.clock) ())
-      t.spans;
+      (fun tel ->
+        Telemetry.repl_ship tel ~gen ~pgid ~corr:(corr_id t ~gen)
+          ~mode:
+            (match !mode with `Full -> "full" | `Delta b -> Printf.sprintf "delta(%d)" b)
+          ~attempts:!attempts ~acked:(outcome = `Acked) ~lag:(lag t) ~bytes:!bytes
+          ~start_at:started ~end_at:(Clock.now t.clock))
+      t.tel;
     { sh_gen = gen; sh_outcome = (outcome :> [ `Acked | `Gave_up | `Skipped ]);
       sh_mode = !mode; sh_attempts = !attempts; sh_resyncs = !resyncs;
       sh_rtt = rtt; sh_bytes = !bytes; sh_corr = corr_id t ~gen }

@@ -50,9 +50,7 @@ val establish :
   ?ack_timeout:Duration.t ->
   ?max_attempts:int ->
   ?max_backoff:Duration.t ->
-  ?metrics:Metrics.t ->
-  ?spans:Span.t ->
-  ?probes:Probe.t ->
+  ?tel:Telemetry.t ->
   link:Netlink.t ->
   primary_side:Netlink.side ->
   primary:Store.t ->
@@ -65,11 +63,10 @@ val establish :
     (default 10) bounds transmissions of one frame. Replication state
     the standby store already carries (["repl.gen:*"] names) is
     recovered, so the session resumes where a predecessor stopped.
-    [metrics]/[spans] attach the [repl.*] counters, the ack-RTT
-    histogram and the ["repl"] span track; [probes] attaches the
-    [repl.msg] tracepoint (fired per frame sent — op [data]/[ack]/[nak]
-    with the wire size in [blocks] — and once per completed ship with
-    op [ship] and the RTT in [us]).
+    [tel] reports the [repl.*] counters, the ack-RTT histogram, the
+    ["repl"] span track and the [repl.msg] tracepoint (fired per frame
+    sent — op [data]/[ack]/[nak] with the wire size in [blocks] — and
+    once per completed ship with op [ship] and the RTT in [us]).
 
     A standby carrying acknowledgements for generations the primary no
     longer holds is {e ahead} of it (the primary recovered to an older

@@ -95,15 +95,9 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
     Clock.lap k.Kernel.clock (fun () ->
         Store.read_pages_batch store gen ~oid:store_oid ~pindexes:eager_indexes)
   in
-  if n_eager > 0 then begin
-    Span.record k.Kernel.spans ~name:"restore.prefetch"
-      ~attrs:[ ("pages", string_of_int (Array.length batch)) ]
-      ~start_at:prefetch_started
-      ~end_at:(Clock.now k.Kernel.clock) ();
-    Metrics.observe_duration
-      (Metrics.histogram k.Kernel.metrics "restore.prefetch_us")
-      read_time
-  end;
+  if n_eager > 0 then
+    Telemetry.restore_prefetch k.Kernel.tel ~pages:(Array.length batch)
+      ~start_at:prefetch_started ~end_at:(Clock.now k.Kernel.clock) ~read_time;
   Array.iter
     (fun (pindex, seed) ->
       Vmobject.install obj pindex (Frame.alloc k.Kernel.pool (Content.of_seed seed));
@@ -123,8 +117,7 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
 let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
     ~new_pids ~root () =
   let clock = k.Kernel.clock in
-  let spans = k.Kernel.spans in
-  let metrics = k.Kernel.metrics in
+  let spans = Telemetry.spans k.Kernel.tel in
   let started = Clock.now clock in
   let s_meta = Span.start spans "restore.metadata" in
   let dev = Store.device store in
@@ -334,6 +327,14 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
           shadow
       in
       Hashtbl.replace obj_map obj_oid obj;
+      (* The next checkpoint stores the object under its new id. Only an
+         in-place restore of the store's newest generation that got the
+         checkpointed id back (a fresh kernel numbers objects the same
+         way) finds every page already there; anything else — a fresh
+         id, a clone, an older generation — must write the object
+         whole. *)
+      if new_pids || Vmobject.oid obj <> obj_oid || Store.latest store <> Some gen then
+        Vmobject.mark_all_dirty obj;
       let r, l, read_time =
         restore_object_pages k store ~gen ~store_oid:(Oidspace.vmobj obj_oid) ~policy
           ~hot:rec_.Serialize.hot_pages obj
@@ -402,24 +403,10 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
   in
   let pids = List.map (fun (_, p) -> p.Process.pid) procs |> List.sort Int.compare in
   let total_latency = Duration.sub (Clock.now clock) started in
-  ignore
-    (Span.finish spans root ~attrs:[ ("procs", string_of_int (List.length procs)) ]);
-  Metrics.incr (Metrics.counter metrics "restore.count");
-  Metrics.add (Metrics.counter metrics "restore.pages_resident") !pages_resident;
-  Metrics.add (Metrics.counter metrics "restore.pages_lazy") !pages_lazy;
-  Metrics.add (Metrics.counter metrics "restore.objects") (Hashtbl.length obj_map);
-  Metrics.add
-    (Metrics.counter metrics "restore.bytes_read")
-    (!pages_resident * Blockdev.block_size);
-  Metrics.observe_duration (Metrics.histogram metrics "restore.total_us") total_latency;
-  Metrics.observe_duration
-    (Metrics.histogram metrics "restore.metadata_us")
-    metadata_phase;
-  Metrics.observe_duration (Metrics.histogram metrics "restore.pagein_us") pagein_phase;
-  Tracelog.recordf k.Kernel.trace ~subsystem:"restore"
-    "gen %d pgroup %d -> pids [%s] total=%.1fus" gen pgid
-    (String.concat ";" (List.map string_of_int pids))
-    (Duration.to_us total_latency);
+  Telemetry.restore_done k.Kernel.tel ~root ~procs:(List.length procs)
+    ~resident:!pages_resident ~lazy_:!pages_lazy ~objects:(Hashtbl.length obj_map)
+    ~bytes:(!pages_resident * Blockdev.block_size) ~total:total_latency
+    ~metadata:metadata_phase ~pagein:pagein_phase;
   ( pids,
     {
       Types.objstore_read;
@@ -433,17 +420,15 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
 
 let restore (k : Kernel.t) ~store ~gen ~pgid ?(policy = Types.Lazy_prefetch) ?from_disk
     ?(new_pids = false) () =
-  let spans = k.Kernel.spans in
-  let root =
-    Span.start spans "restore"
-      ~attrs:[ ("gen", string_of_int gen); ("pgid", string_of_int pgid) ]
-  in
+  let root = Telemetry.restore_begin k.Kernel.tel ~gen ~pgid in
   match restore_body k ~store ~gen ~pgid ~policy ?from_disk ~new_pids ~root () with
   | v -> v
   | exception e ->
     (* Close the span (and any open phase under it) so later spans do
        not parent under a dead restore attempt. *)
-    ignore (Span.finish spans root ~attrs:[ ("error", Printexc.to_string e) ]);
+    ignore
+      (Span.finish (Telemetry.spans k.Kernel.tel) root
+         ~attrs:[ ("error", Printexc.to_string e) ]);
     raise e
 
 let restore_result (k : Kernel.t) ~store ~gen ~pgid ?policy ?from_disk ?new_pids () =

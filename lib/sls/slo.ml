@@ -34,7 +34,9 @@ let window_quantile w p =
   else begin
     let s = Array.sub w.buf 0 w.n in
     Array.sort Float.compare s;
-    (* Nearest rank, matching Stats.percentile. *)
+    (* Nearest rank: index ceil(p*n/100)-1. Not Stats.percentile, which
+       rounds p*(n-1)/100: at n=4, p=50 this picks the 2nd sample and
+       Stats the 3rd. *)
     let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int w.n)) in
     s.(Int.max 0 (Int.min (w.n - 1) (rank - 1)))
   end

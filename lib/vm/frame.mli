@@ -41,6 +41,3 @@ val over_capacity : pool -> int
 (** How many pages beyond capacity are resident (0 when unbounded or
     under capacity). *)
 
-val live_frames : pool -> t list
-(** Snapshot of live frames, in allocation order; used by the clock
-    sweep. *)

@@ -14,6 +14,7 @@ type t = {
   mutable shadow : t option;
   mutable refcount : int;
   dirty : (int, unit) Hashtbl.t;
+  mutable all_dirty : bool;  (* every page dirty, whatever [dirty] holds *)
   armed : (int, unit) Hashtbl.t;
   heat : (int, int) Hashtbl.t;
   mutable cow_breaks : int;
@@ -24,7 +25,7 @@ let next_oid = ref 0
 let create ~pool kind =
   incr next_oid;
   { oid = !next_oid; kind; pool; pages = Hashtbl.create 64; shadow = None;
-    refcount = 1; dirty = Hashtbl.create 64; armed = Hashtbl.create 64;
+    refcount = 1; dirty = Hashtbl.create 64; all_dirty = false; armed = Hashtbl.create 64;
     heat = Hashtbl.create 64; cow_breaks = 0 }
 
 let oid t = t.oid
@@ -131,16 +132,16 @@ let sorted_keys h =
 let arm_for_checkpoint t ~mode =
   let to_capture =
     match mode with
-    | `Full ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-      List.sort Int.compare keys
-    | `Dirty_only ->
+    | `Dirty_only when not t.all_dirty ->
       (* Dirty pages, plus pages never captured by any checkpoint
          (present but neither armed nor dirty can only mean "captured
          before and unmodified since", so those are skipped). A page is
          "never captured" exactly when it is dirty — pages are marked
          dirty at birth — so the dirty set is complete. *)
       sorted_keys t.dirty
+    | `Full | `Dirty_only ->
+      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
+      List.sort Int.compare keys
   in
   let items =
     List.filter_map
@@ -155,6 +156,7 @@ let arm_for_checkpoint t ~mode =
       to_capture
   in
   Hashtbl.reset t.dirty;
+  t.all_dirty <- false;
   items
 
 let release_flush_item ~pool item =
@@ -166,9 +168,10 @@ let is_armed t pindex = Hashtbl.mem t.armed pindex
 let cow_breaks t = t.cow_breaks
 let reset_cow_breaks t = t.cow_breaks <- 0
 let armed_count t = Hashtbl.length t.armed
-let dirty_count t = Hashtbl.length t.dirty
+let dirty_count t = if t.all_dirty then Hashtbl.length t.pages else Hashtbl.length t.dirty
 
 let mark_dirty t pindex = Hashtbl.replace t.dirty pindex ()
+let mark_all_dirty t = t.all_dirty <- true
 
 let disarm_for_write t pindex =
   if not (Hashtbl.mem t.armed pindex) then

@@ -94,6 +94,10 @@ val armed_count : t -> int
 val dirty_count : t -> int
 val mark_dirty : t -> int -> unit
 
+val mark_all_dirty : t -> unit
+(** Treat every page as dirty until the next arming, in O(1): a
+    [`Dirty_only] arming then captures the whole object. *)
+
 val disarm_for_write : t -> int -> Frame.t
 (** Aurora's checkpoint-COW fault on an armed resident page: allocate a
     copy, install it in place (all mappers now share the new frame),

@@ -265,6 +265,33 @@ let test_replicate_and_failover () =
           check_int "failover json" 0 rc;
           check_bool "json rpo field" true (contains out "\"rpo_generations\"")))
 
+(* JSON output must carry non-ASCII names as raw UTF-8: OCaml's %S
+   would write "caf\195\169", which no JSON parser accepts. *)
+let test_json_non_ascii_name () =
+  let name = "caf\xc3\xa9" in
+  let decimal_escape s =
+    let rec go i =
+      i + 1 < String.length s
+      && ((s.[i] = '\\' && s.[i + 1] >= '0' && s.[i + 1] <= '9') || go (i + 1))
+    in
+    go 0
+  in
+  with_universe "cli-utf8.universe" (fun u ->
+      let dst = tmp "cli-utf8-dst.universe" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists dst then Sys.remove dst)
+        (fun () ->
+          check_int "spawn" 0 (sls [ "spawn"; name; "-u"; u ]);
+          check_int "run" 0 (sls [ "run"; "--ms"; "10"; "-u"; u ]);
+          check_int "checkpoint" 0 (sls [ "checkpoint"; "-u"; u ]);
+          List.iter
+            (fun (what, args) ->
+              let rc, out = capture (fun () -> sls (args @ [ "--json"; "-u"; u ])) in
+              check_int what 0 rc;
+              check_bool (what ^ " names the app") true (contains out ("\"" ^ name ^ "\""));
+              check_bool (what ^ " has no decimal escapes") false (decimal_escape out))
+            [ ("replicate", [ "replicate"; dst ]); ("top", [ "top" ]) ]))
+
 let test_replicate_dead_link_exits_2 () =
   with_universe "cli-repl-dead.universe" (fun u ->
       let dst = tmp "cli-repl-dead-dst.universe" in
@@ -380,6 +407,8 @@ let () =
           Alcotest.test_case "explain + diff" `Quick test_explain_and_diff;
           Alcotest.test_case "replicate + failover" `Quick
             test_replicate_and_failover;
+          Alcotest.test_case "json carries non-ASCII names raw" `Quick
+            test_json_non_ascii_name;
           Alcotest.test_case "replicate over a dead link exits 2" `Quick
             test_replicate_dead_link_exits_2;
           Alcotest.test_case "failover with nothing to promote" `Quick

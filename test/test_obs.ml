@@ -1,7 +1,6 @@
 (* Tests for the observability layer: the metrics registry (counters,
    gauges, fixed-bucket histograms), the span recorder (nesting,
-   orphans, Chrome export), the tracelog drop counter, and the
-   end-to-end checkpoint/restore phase trees a Machine produces. *)
+   orphans, Chrome export), and the end-to-end checkpoint/restore phase trees a Machine produces. *)
 
 open Aurora_simtime
 open Aurora_objstore
@@ -235,24 +234,6 @@ let test_span_chrome_json () =
   check_bool "span name present" true (has "\"outer\"")
 
 (* ------------------------------------------------------------------ *)
-(* Tracelog: bounded buffer accounting                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_tracelog_dropped () =
-  let clock = Clock.create () in
-  let t = Tracelog.create ~capacity:2 clock in
-  Tracelog.record t ~subsystem:"t" "a";
-  Tracelog.record t ~subsystem:"t" "b";
-  check_int "nothing dropped yet" 0 (Tracelog.dropped t);
-  Tracelog.record t ~subsystem:"t" "c";
-  check_int "overwrite counted" 1 (Tracelog.dropped t);
-  check_int "ring keeps the newest" 2 (List.length (Tracelog.events t));
-  check_bool "events memoized between records" true
-    (Tracelog.events t == Tracelog.events t);
-  Tracelog.record t ~subsystem:"t" "d";
-  check_int "cache invalidated on record" 2 (List.length (Tracelog.events t))
-
-(* ------------------------------------------------------------------ *)
 (* End to end: a Machine's checkpoint/restore span tree                *)
 (* ------------------------------------------------------------------ *)
 
@@ -397,8 +378,6 @@ let () =
           Alcotest.test_case "capacity" `Quick test_span_capacity;
           Alcotest.test_case "chrome json" `Quick test_span_chrome_json;
         ] );
-      ( "tracelog",
-        [ Alcotest.test_case "dropped + cache" `Quick test_tracelog_dropped ] );
       ( "machine",
         [
           Alcotest.test_case "ckpt span tree" `Quick test_ckpt_span_tree;

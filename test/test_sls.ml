@@ -381,6 +381,104 @@ let test_clone_scaleout () =
   let distinct = List.sort_uniq Int.compare clones in
   check_int "distinct pids" 5 (List.length distinct)
 
+(* A restored process's VM objects are new objects: its next
+   incremental checkpoint must still hold every page, not only the
+   pages written since the restore. The walker keeps dirtying its own
+   8 pages; the 32-page region beside it is written once, before the
+   first checkpoint, and never again. *)
+let test_restore_reckpt_keeps_pages () =
+  let m = Machine.create () in
+  let k = m.Machine.kernel in
+  let c, p = spawn_walker m ~npages:8 ~limit:1_000_000 in
+  let cold = Syscall.mmap_anon k p ~npages:32 in
+  for i = 0 to 31 do
+    Syscall.mem_write k p ~vpn:(cold.Vmmap.start_vpn + i) ~offset:0
+      ~value:(Int64.of_int (7000 + i))
+  done;
+  let g = Machine.persist m (`Container c.Container.cid) in
+  Machine.run m (Duration.milliseconds 1);
+  let base = Context.reg_int (Process.main_thread p).Thread.context 1 in
+  let vpns =
+    List.init 8 (fun i -> base + i) @ List.init 32 (fun i -> cold.Vmmap.start_vpn + i)
+  in
+  let contents pid = List.map (page_value m pid) vpns in
+  let restore () =
+    Machine.drain_storage m;
+    List.hd (fst (Machine.restore_group m g ()))
+  in
+  ignore (Machine.checkpoint_now m g ());
+  let pid = restore () in
+  Machine.run m (Duration.milliseconds 2);
+  let b = Machine.checkpoint_now m g ~mode:`Incremental () in
+  check_bool "checkpoint ok" true (b.Types.status = `Ok);
+  let want = contents pid in
+  let got = contents (restore ()) in
+  List.iteri
+    (fun i (w, g) ->
+      check_bool (Printf.sprintf "page %d equals the checkpointed page" i) true
+        (Content.equal w g))
+    (List.combine want got)
+
+(* Table 2 contract: sls_barrier blocks until the last checkpoint is
+   durable, so a crash right after it loses nothing, and sls_restore
+   brings the group back from that generation. *)
+let test_api_barrier_crash_restore () =
+  let m = Machine.create () in
+  let c, p = spawn_walker m ~npages:16 ~limit:1_000_000 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  Machine.run m (Duration.milliseconds 1);
+  let ctx = (Process.main_thread p).Thread.context in
+  let base = Context.reg_int ctx 1 and steps = Context.reg_int ctx 4 in
+  let want = List.init 16 (fun i -> page_value m p.Process.pid (base + i)) in
+  let gen = Api.sls_checkpoint m g () in
+  let durable_at = (Option.get g.Types.last_breakdown).Types.durable_at in
+  check_bool "epoch still in flight" true Duration.(Machine.now m < durable_at);
+  Api.sls_barrier m g;
+  check_bool "barrier waited for durability" true Duration.(Machine.now m >= durable_at);
+  Machine.crash m;
+  let m' = Machine.recover m in
+  let g' = Machine.persist m' (`Container c.Container.cid) in
+  match Api.sls_restore m' g' ~gen () with
+  | [ pid ] ->
+    let p' = Kernel.proc_exn m'.Machine.kernel pid in
+    check_int "execution state restored" steps
+      (Context.reg_int (Process.main_thread p').Thread.context 4);
+    List.iteri
+      (fun i w ->
+        check_bool (Printf.sprintf "page %d restored" i) true
+          (Content.equal w (page_value m' pid (base + i))))
+      want
+  | pids -> Alcotest.failf "expected one process, got %d" (List.length pids)
+
+(* sls_restore with an explicit older generation and policy replaces
+   the running group with that generation's state. *)
+let test_api_restore_older_gen () =
+  let m = Machine.create () in
+  let c, p = spawn_walker m ~npages:16 ~limit:1_000_000 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  Machine.run m (Duration.milliseconds 1);
+  let ctx = (Process.main_thread p).Thread.context in
+  let base = Context.reg_int ctx 1 and steps = Context.reg_int ctx 4 in
+  let want = List.init 16 (fun i -> page_value m p.Process.pid (base + i)) in
+  let gen1 = Api.sls_checkpoint m g () in
+  Machine.run m (Duration.milliseconds 1);
+  let gen2 = Api.sls_checkpoint m g () in
+  check_bool "newer generation" true (gen2 > gen1);
+  Api.sls_barrier m g;
+  match Api.sls_restore m g ~gen:gen1 ~policy:Types.Eager () with
+  | [ pid ] ->
+    let p' = Kernel.proc_exn m.Machine.kernel pid in
+    check_int "older state restored" steps
+      (Context.reg_int (Process.main_thread p').Thread.context 4);
+    check_int "one process in the group" 1
+      (List.length (Types.member_pids m.Machine.kernel g));
+    List.iteri
+      (fun i w ->
+        check_bool (Printf.sprintf "page %d from the older generation" i) true
+          (Content.equal w (page_value m pid (base + i))))
+      want
+  | pids -> Alcotest.failf "expected one process, got %d" (List.length pids)
+
 let test_restore_preserves_pipe () =
   (* Checkpoint a producer/consumer pair mid-flight with data buffered
      in the pipe; restore both; the consumer drains everything. *)
@@ -915,16 +1013,16 @@ let test_trace_records_checkpoints () =
   let c, _ = spawn_walker m ~npages:8 ~limit:1_000_000 in
   let g = Machine.persist m (`Container c.Container.cid) in
   let b = Machine.checkpoint_now m g () in
-  let trace = m.Machine.kernel.Kernel.trace in
-  check_bool "checkpoint traced" true
-    (Tracelog.find trace ~subsystem:"ckpt"
-       ~substring:(Printf.sprintf "gen %d" b.Types.gen)
-     <> None);
+  (* Both roots carry the generation they wrote or read. *)
+  let traced name =
+    List.exists
+      (fun (s : Span.span) ->
+        List.assoc_opt "gen" s.Span.attrs = Some (string_of_int b.Types.gen))
+      (Span.find_all (Machine.spans m) ~name)
+  in
+  check_bool "checkpoint traced" true (traced "ckpt");
   ignore (Machine.restore_group m g ());
-  check_bool "restore traced" true
-    (Tracelog.find trace ~subsystem:"restore"
-       ~substring:(Printf.sprintf "gen %d" b.Types.gen)
-     <> None);
+  check_bool "restore traced" true (traced "restore");
   (* The pipeline observability surface: once the epoch is retired,
      its flush lives on the ckpt.pipeline span track and the
      flush/lag/backpressure histograms have samples. *)
@@ -1002,6 +1100,12 @@ let () =
             test_restore_policies_fault_behavior;
           Alcotest.test_case "eager restore avoids faults" `Quick
             test_restore_eager_no_faults;
+          Alcotest.test_case "incremental checkpoint after restore keeps every page"
+            `Quick test_restore_reckpt_keeps_pages;
+          Alcotest.test_case "api: barrier, crash, sls_restore" `Quick
+            test_api_barrier_crash_restore;
+          Alcotest.test_case "api: sls_restore an older generation" `Quick
+            test_api_restore_older_gen;
           Alcotest.test_case "rollback" `Quick test_rollback;
           Alcotest.test_case "clone scale-out" `Quick test_clone_scaleout;
           Alcotest.test_case "pipe contents cross checkpoint" `Quick
