@@ -41,8 +41,8 @@ let kill_group (k : Kernel.t) (g : Types.pgroup) =
 
 (* Pages of one VM object, restored per policy. Eager paths charge the
    device (real reads); lazy paths peek and leave the device cost to
-   the fault. *)
-let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
+   the fault. With [dirty], every installed page is marked dirty. *)
+let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot ~dirty obj =
   let dev = Store.device store in
   let fault_cost =
     Profile.transfer_cost (Devarray.profile dev) ~op:`Read ~bytes:Blockdev.block_size
@@ -101,6 +101,7 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
   Array.iter
     (fun (pindex, seed) ->
       Vmobject.install obj pindex (Frame.alloc k.Kernel.pool (Content.of_seed seed));
+      if dirty then Vmobject.mark_dirty obj pindex;
       incr resident)
     batch;
   Array.iter
@@ -109,6 +110,7 @@ let restore_object_pages (k : Kernel.t) store ~gen ~store_oid ~policy ~hot obj =
       | Some seed ->
         Vmobject.install_paged_out obj pindex ~content:(Content.of_seed seed)
           ~read_cost:fault_cost;
+        if dirty then Vmobject.mark_dirty obj pindex;
         incr lazy_
       | None -> ())
     lazy_indexes;
@@ -332,12 +334,11 @@ let restore_body (k : Kernel.t) ~store ~gen ~pgid ~policy ?from_disk
          checkpointed id back (a fresh kernel numbers objects the same
          way) finds every page already there; anything else — a fresh
          id, a clone, an older generation — must write the object
-         whole. *)
-      if new_pids || Vmobject.oid obj <> obj_oid || Store.latest store <> Some gen then
-        Vmobject.mark_all_dirty obj;
+         whole, so every page it installs is marked dirty. *)
+      let dirty = new_pids || Vmobject.oid obj <> obj_oid || Store.latest store <> Some gen in
       let r, l, read_time =
         restore_object_pages k store ~gen ~store_oid:(Oidspace.vmobj obj_oid) ~policy
-          ~hot:rec_.Serialize.hot_pages obj
+          ~hot:rec_.Serialize.hot_pages ~dirty obj
       in
       pages_resident := !pages_resident + r;
       pages_lazy := !pages_lazy + l;

@@ -1,5 +1,4 @@
 type t = {
-  id : int;
   mutable content : Content.t;
   mutable refcount : int;
   mutable accessed : bool;
@@ -7,7 +6,6 @@ type t = {
 
 type pool = {
   capacity : int option;
-  mutable next_id : int;
   mutable resident : int;
   mutable total_allocated : int;
 }
@@ -16,11 +14,10 @@ let create_pool ?capacity_pages () =
   (match capacity_pages with
    | Some c when c <= 0 -> invalid_arg "Frame.create_pool: capacity <= 0"
    | _ -> ());
-  { capacity = capacity_pages; next_id = 0; resident = 0; total_allocated = 0 }
+  { capacity = capacity_pages; resident = 0; total_allocated = 0 }
 
 let alloc pool content =
-  let f = { id = pool.next_id; content; refcount = 1; accessed = true } in
-  pool.next_id <- pool.next_id + 1;
+  let f = { content; refcount = 1; accessed = true } in
   pool.resident <- pool.resident + 1;
   pool.total_allocated <- pool.total_allocated + 1;
   f
@@ -36,7 +33,6 @@ let decref pool f =
 
 let resident pool = pool.resident
 let total_allocated pool = pool.total_allocated
-let capacity pool = pool.capacity
 
 let over_capacity pool =
   match pool.capacity with

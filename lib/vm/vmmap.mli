@@ -42,8 +42,6 @@ type fault_counts = {
 type t
 
 val create : clock:Clock.t -> pool:Frame.pool -> unit -> t
-val asid : t -> int
-val clock : t -> Clock.t
 val pool : t -> Frame.pool
 val entries : t -> entry list
 (** Sorted by [start_vpn]. *)
@@ -125,4 +123,3 @@ val distinct_objects : t -> Vmobject.t list
 (** Objects referenced by entries, deduplicated, entry order. Includes
     shadow-chain backing objects. *)
 
-val pp : Format.formatter -> t -> unit

@@ -6,17 +6,22 @@ type pslot =
   | Resident of Frame.t
   | Paged_out of { content : Content.t; read_cost : Duration.t }
 
+(* One entry per present page, holding all of its state. *)
+type page = {
+  mutable slot : pslot;
+  mutable dirty : bool;
+  mutable armed : bool;
+  mutable heat : int;
+}
+
 type t = {
   oid : int;
   kind : kind;
   pool : Frame.pool;
-  pages : (int, pslot) Hashtbl.t;
+  pages : (int, page) Hashtbl.t;
+  mutable ndirty : int;  (* pages with [dirty] set *)
   mutable shadow : t option;
   mutable refcount : int;
-  dirty : (int, unit) Hashtbl.t;
-  mutable all_dirty : bool;  (* every page dirty, whatever [dirty] holds *)
-  armed : (int, unit) Hashtbl.t;
-  heat : (int, int) Hashtbl.t;
   mutable cow_breaks : int;
 }
 
@@ -24,13 +29,11 @@ let next_oid = ref 0
 
 let create ~pool kind =
   incr next_oid;
-  { oid = !next_oid; kind; pool; pages = Hashtbl.create 64; shadow = None;
-    refcount = 1; dirty = Hashtbl.create 64; all_dirty = false; armed = Hashtbl.create 64;
-    heat = Hashtbl.create 64; cow_breaks = 0 }
+  { oid = !next_oid; kind; pool; pages = Hashtbl.create 64; ndirty = 0; shadow = None;
+    refcount = 1; cow_breaks = 0 }
 
 let oid t = t.oid
 let kind t = t.kind
-let refcount t = t.refcount
 let shadow_of t = t.shadow
 
 let incref t =
@@ -45,8 +48,9 @@ let rec decref t =
   if t.refcount <= 0 then invalid_arg "Vmobject.decref: dead object";
   t.refcount <- t.refcount - 1;
   if t.refcount = 0 then begin
-    Hashtbl.iter (fun _ slot -> release_slot t slot) t.pages;
+    Hashtbl.iter (fun _ p -> release_slot t p.slot) t.pages;
     Hashtbl.reset t.pages;
+    t.ndirty <- 0;
     match t.shadow with
     | None -> ()
     | Some backing ->
@@ -66,97 +70,70 @@ type resolution =
 
 let rec resolve t pindex =
   match Hashtbl.find_opt t.pages pindex with
-  | Some slot -> Found { owner = t; slot }
+  | Some p -> Found { owner = t; slot = p.slot }
   | None -> (
     match t.shadow with
     | Some backing -> resolve backing pindex
     | None -> Absent)
 
-let slot_of t pindex = Hashtbl.find_opt t.pages pindex
+(* A new page starts clean, unarmed and cold; replacing a page's slot
+   keeps the rest of its state. *)
+let set_slot t pindex slot =
+  match Hashtbl.find_opt t.pages pindex with
+  | Some p ->
+    release_slot t p.slot;
+    p.slot <- slot
+  | None -> Hashtbl.add t.pages pindex { slot; dirty = false; armed = false; heat = 0 }
 
-let install t pindex frame =
-  (match Hashtbl.find_opt t.pages pindex with
-   | Some slot -> release_slot t slot
-   | None -> ());
-  Hashtbl.replace t.pages pindex (Resident frame)
+let install t pindex frame = set_slot t pindex (Resident frame)
 
 let install_paged_out t pindex ~content ~read_cost =
-  (match Hashtbl.find_opt t.pages pindex with
-   | Some slot -> release_slot t slot
-   | None -> ());
-  Hashtbl.replace t.pages pindex (Paged_out { content; read_cost })
+  set_slot t pindex (Paged_out { content; read_cost })
 
 let page_in t pindex frame =
   match Hashtbl.find_opt t.pages pindex with
-  | Some (Paged_out _) -> Hashtbl.replace t.pages pindex (Resident frame)
-  | Some (Resident _) -> invalid_arg "Vmobject.page_in: page already resident"
+  | Some ({ slot = Paged_out _; _ } as p) -> p.slot <- Resident frame
+  | Some { slot = Resident _; _ } -> invalid_arg "Vmobject.page_in: page already resident"
   | None -> invalid_arg "Vmobject.page_in: no such page"
 
 let page_out t pindex ~read_cost =
   match Hashtbl.find_opt t.pages pindex with
-  | Some (Resident f) ->
+  | Some ({ slot = Resident f; _ } as p) ->
     if f.Frame.refcount > 1 then invalid_arg "Vmobject.page_out: frame is shared";
     let content = f.Frame.content in
     Frame.decref t.pool f;
-    Hashtbl.replace t.pages pindex (Paged_out { content; read_cost });
+    p.slot <- Paged_out { content; read_cost };
     content
-  | Some (Paged_out _) -> invalid_arg "Vmobject.page_out: already paged out"
+  | Some { slot = Paged_out _; _ } -> invalid_arg "Vmobject.page_out: already paged out"
   | None -> invalid_arg "Vmobject.page_out: no such page"
-
-let remove_page t pindex =
-  match Hashtbl.find_opt t.pages pindex with
-  | None -> ()
-  | Some slot ->
-    release_slot t slot;
-    Hashtbl.remove t.pages pindex;
-    Hashtbl.remove t.dirty pindex;
-    Hashtbl.remove t.armed pindex;
-    Hashtbl.remove t.heat pindex
 
 (* --- checkpoint support ------------------------------------------- *)
 
 type flush_item = { pindex : int; content : Content.t; frame : Frame.t option }
 
-let capture t pindex =
-  match Hashtbl.find_opt t.pages pindex with
-  | Some (Resident f) ->
-    Frame.incref f;
-    Some { pindex; content = f.Frame.content; frame = Some f }
-  | Some (Paged_out { content; _ }) -> Some { pindex; content; frame = None }
-  | None -> None
-
-let sorted_keys h =
-  let keys = Hashtbl.fold (fun k () acc -> k :: acc) h [] in
-  List.sort Int.compare keys
+(* The pages satisfying [keep], in increasing page index order. *)
+let pages_in_order t ~keep =
+  Hashtbl.fold (fun pindex p acc -> if keep p then (pindex, p) :: acc else acc) t.pages []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let arm_for_checkpoint t ~mode =
-  let to_capture =
-    match mode with
-    | `Dirty_only when not t.all_dirty ->
-      (* Dirty pages, plus pages never captured by any checkpoint
-         (present but neither armed nor dirty can only mean "captured
-         before and unmodified since", so those are skipped). A page is
-         "never captured" exactly when it is dirty — pages are marked
-         dirty at birth — so the dirty set is complete. *)
-      sorted_keys t.dirty
-    | `Full | `Dirty_only ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-      List.sort Int.compare keys
-  in
+  (* [`Dirty_only] takes the dirty pages. Pages are marked dirty at
+     birth, so a page that is neither armed nor dirty was captured
+     before and is unmodified since. *)
+  let all = mode = `Full in
   let items =
-    List.filter_map
-      (fun pindex ->
-        match capture t pindex with
-        | Some item ->
-          Hashtbl.replace t.armed pindex ();
-          Some item
-        | None ->
-          (* dirty entry for a page that was since unmapped *)
-          None)
-      to_capture
+    List.map
+      (fun (pindex, p) ->
+        p.armed <- true;
+        p.dirty <- false;
+        match p.slot with
+        | Resident f ->
+          Frame.incref f;
+          { pindex; content = f.Frame.content; frame = Some f }
+        | Paged_out { content; _ } -> { pindex; content; frame = None })
+      (pages_in_order t ~keep:(fun p -> all || p.dirty))
   in
-  Hashtbl.reset t.dirty;
-  t.all_dirty <- false;
+  t.ndirty <- 0;
   items
 
 let release_flush_item ~pool item =
@@ -164,78 +141,75 @@ let release_flush_item ~pool item =
   | Some f -> Frame.decref pool f
   | None -> ()
 
-let is_armed t pindex = Hashtbl.mem t.armed pindex
+let is_armed t pindex =
+  match Hashtbl.find_opt t.pages pindex with Some p -> p.armed | None -> false
+
 let cow_breaks t = t.cow_breaks
 let reset_cow_breaks t = t.cow_breaks <- 0
-let armed_count t = Hashtbl.length t.armed
-let dirty_count t = if t.all_dirty then Hashtbl.length t.pages else Hashtbl.length t.dirty
+let armed_count t = Hashtbl.fold (fun _ p n -> if p.armed then n + 1 else n) t.pages 0
+let dirty_count t = t.ndirty
 
-let mark_dirty t pindex = Hashtbl.replace t.dirty pindex ()
-let mark_all_dirty t = t.all_dirty <- true
+let set_dirty t p =
+  if not p.dirty then begin
+    p.dirty <- true;
+    t.ndirty <- t.ndirty + 1
+  end
+
+let mark_dirty t pindex = Option.iter (set_dirty t) (Hashtbl.find_opt t.pages pindex)
 
 let disarm_for_write t pindex =
-  if not (Hashtbl.mem t.armed pindex) then
-    invalid_arg "Vmobject.disarm_for_write: page not armed";
   match Hashtbl.find_opt t.pages pindex with
-  | Some (Resident old_frame) ->
+  | Some { armed = false; _ } | None ->
+    invalid_arg "Vmobject.disarm_for_write: page not armed"
+  | Some ({ slot = Resident old_frame; _ } as p) ->
     (* Aurora's COW: a new page shared between all processes mapping
        this object; the old frame stays alive while the flusher holds
        its reference. *)
     let fresh = Frame.alloc t.pool old_frame.Frame.content in
     Frame.decref t.pool old_frame;
-    Hashtbl.replace t.pages pindex (Resident fresh);
-    Hashtbl.remove t.armed pindex;
+    p.slot <- Resident fresh;
+    p.armed <- false;
     t.cow_breaks <- t.cow_breaks + 1;
-    mark_dirty t pindex;
+    set_dirty t p;
     fresh
-  | Some (Paged_out _) | None ->
+  | Some { slot = Paged_out _; _ } ->
     invalid_arg "Vmobject.disarm_for_write: page not resident"
 
 (* --- heat / clock ------------------------------------------------- *)
 
 let touch t pindex =
-  (match Hashtbl.find_opt t.pages pindex with
-   | Some (Resident f) -> f.Frame.accessed <- true
-   | Some (Paged_out _) | None -> ());
-  let h = Option.value ~default:0 (Hashtbl.find_opt t.heat pindex) in
-  Hashtbl.replace t.heat pindex (h + 1)
+  match Hashtbl.find_opt t.pages pindex with
+  | Some p ->
+    (match p.slot with Resident f -> f.Frame.accessed <- true | Paged_out _ -> ());
+    p.heat <- p.heat + 1
+  | None -> ()
 
-let heat t pindex = Option.value ~default:0 (Hashtbl.find_opt t.heat pindex)
+let heat t pindex =
+  match Hashtbl.find_opt t.pages pindex with Some p -> p.heat | None -> 0
 
-let age_heat t =
-  let halved = Hashtbl.fold (fun k v acc -> (k, v / 2) :: acc) t.heat [] in
-  List.iter
-    (fun (k, v) -> if v = 0 then Hashtbl.remove t.heat k else Hashtbl.replace t.heat k v)
-    halved
+let age_heat t = Hashtbl.iter (fun _ p -> p.heat <- p.heat / 2) t.pages
 
 let hot_pages t ~limit =
   if limit < 0 then invalid_arg "Vmobject.hot_pages: negative limit";
-  let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.heat [] in
+  let warm =
+    Hashtbl.fold (fun k p acc -> if p.heat > 0 then (k, p.heat) :: acc else acc) t.pages []
+  in
   let sorted =
     List.sort (fun (ka, va) (kb, vb) ->
         match Int.compare vb va with 0 -> Int.compare ka kb | c -> c)
-      all
+      warm
   in
   List.filteri (fun i _ -> i < limit) sorted |> List.map fst
 
 (* --- iteration / stats -------------------------------------------- *)
 
 let fold_pages t ~init ~f =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  let keys = List.sort Int.compare keys in
-  List.fold_left (fun acc k -> f acc k (Hashtbl.find t.pages k)) init keys
+  List.fold_left (fun acc (pindex, p) -> f acc pindex p.slot) init
+    (pages_in_order t ~keep:(fun _ -> true))
 
 let resident_count t =
-  Hashtbl.fold (fun _ s acc -> match s with Resident _ -> acc + 1 | Paged_out _ -> acc)
+  Hashtbl.fold (fun _ p acc -> match p.slot with Resident _ -> acc + 1 | Paged_out _ -> acc)
     t.pages 0
-
-let page_count t = Hashtbl.length t.pages
 
 let rec chain_depth t =
   match t.shadow with None -> 1 | Some backing -> 1 + chain_depth backing
-
-let pp ppf t =
-  Format.fprintf ppf "obj#%d(%s pages=%d dirty=%d armed=%d depth=%d refs=%d)"
-    t.oid
-    (match t.kind with Anonymous -> "anon" | Vnode v -> Printf.sprintf "vnode:%d" v)
-    (page_count t) (dirty_count t) (armed_count t) (chain_depth t) t.refcount

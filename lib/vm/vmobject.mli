@@ -20,7 +20,13 @@
       regions").
     - {b Heat counters} approximate the clock algorithm's access
       history; the checkpoint stores the hot set so lazy restore can
-      eagerly page in the hottest pages. *)
+      eagerly page in the hottest pages.
+
+    Page state lives on the page: the object keeps one table from page
+    index to an entry holding the page's slot, dirty and armed bits and
+    heat, plus a running count of dirty pages, so {!dirty_count} is
+    O(1). Replacing a page's slot ({!install}, {!page_in},
+    {!page_out}) keeps the rest of its state. *)
 
 open Aurora_simtime
 
@@ -37,7 +43,6 @@ type t
 val create : pool:Frame.pool -> kind -> t
 val oid : t -> int
 val kind : t -> kind
-val refcount : t -> int
 val incref : t -> unit
 val decref : t -> unit
 (** At zero, releases all resident frames and drops the shadow
@@ -55,8 +60,6 @@ type resolution =
   | Absent
 
 val resolve : t -> int -> resolution
-val slot_of : t -> int -> pslot option
-(** Direct lookup in this object only (no chain walk). *)
 
 val install : t -> int -> Frame.t -> unit
 (** Install a frame at a page index, replacing (and releasing) any
@@ -72,8 +75,6 @@ val page_out : t -> int -> read_cost:Duration.t -> Content.t
 (** Convert a resident page to [Paged_out]; returns the content (for
     the swap writer). Raises [Invalid_argument] if not resident or if
     the frame is shared (refcount > 1). *)
-
-val remove_page : t -> int -> unit
 
 (* --- checkpoint support ------------------------------------------- *)
 
@@ -92,11 +93,10 @@ val release_flush_item : pool:Frame.pool -> flush_item -> unit
 val is_armed : t -> int -> bool
 val armed_count : t -> int
 val dirty_count : t -> int
-val mark_dirty : t -> int -> unit
+(** O(1). *)
 
-val mark_all_dirty : t -> unit
-(** Treat every page as dirty until the next arming, in O(1): a
-    [`Dirty_only] arming then captures the whole object. *)
+val mark_dirty : t -> int -> unit
+(** No effect on a page this object does not hold. *)
 
 val disarm_for_write : t -> int -> Frame.t
 (** Aurora's checkpoint-COW fault on an armed resident page: allocate a
@@ -117,14 +117,15 @@ val reset_cow_breaks : t -> unit
 
 val touch : t -> int -> unit
 (** Record an access: bumps the page's heat counter and the frame's
-    accessed bit. *)
+    accessed bit. No effect on a page this object does not hold. *)
 
 val heat : t -> int -> int
 val age_heat : t -> unit
 (** Halve all heat counters (aging step of the clock approximation). *)
 
 val hot_pages : t -> limit:int -> int list
-(** Up to [limit] page indexes, hottest first. *)
+(** Up to [limit] page indexes with nonzero heat, hottest first; ties
+    go to the lower page index. *)
 
 (* --- iteration / stats -------------------------------------------- *)
 
@@ -133,6 +134,4 @@ val fold_pages : t -> init:'a -> f:('a -> int -> pslot -> 'a) -> 'a
     index order. *)
 
 val resident_count : t -> int
-val page_count : t -> int
 val chain_depth : t -> int
-val pp : Format.formatter -> t -> unit

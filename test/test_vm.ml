@@ -587,6 +587,216 @@ let test_swap_roundtrip_content () =
     (fun i c -> Alcotest.check content_t "roundtrip" c (Vmmap.read m ~vpn:(base + i)))
     expected
 
+let test_armed_page_state_survives_swap () =
+  (* An armed page swapped out under pressure keeps its armed flag and
+     heat; the write that faults it back in takes exactly one
+     checkpoint-COW fault and leaves it dirty for the next capture. *)
+  let clock = Clock.create () in
+  let pool = Frame.create_pool ~capacity_pages:1 () in
+  let m = Vmmap.create ~clock ~pool () in
+  let dev = Blockdev.create ~clock ~profile:Profile.optane_900p "swap0" in
+  let swap = Swap.create ~dev ~pool in
+  let e = Vmmap.map_anonymous m ~npages:1 () in
+  let obj = e.Vmmap.obj and pindex = e.Vmmap.obj_offset and vpn = e.Vmmap.start_vpn in
+  Vmmap.write m ~vpn ~offset:0 ~value:1L;
+  ignore (Vmmap.read m ~vpn);
+  let heat = Vmobject.heat obj pindex in
+  let items = Vmobject.arm_for_checkpoint obj ~mode:`Dirty_only in
+  check_int "first capture" 1 (List.length items);
+  List.iter (Vmobject.release_flush_item ~pool) items;
+  (* A frame outside the object puts the pool over capacity. *)
+  let _pressure = Frame.alloc pool Content.zero in
+  check_int "swapped out" 1 (Swap.rebalance swap ~objects:[ obj ]);
+  (match Vmobject.resolve obj pindex with
+   | Vmobject.Found { slot = Vmobject.Paged_out _; _ } -> ()
+   | _ -> Alcotest.fail "expected a paged-out page");
+  check_bool "armed while paged out" true (Vmobject.is_armed obj pindex);
+  check_int "heat kept by page-out" heat (Vmobject.heat obj pindex);
+  check_int "clean while paged out" 0 (Vmobject.dirty_count obj);
+  Vmmap.write m ~vpn ~offset:8 ~value:2L;
+  check_int "one cow break" 1 (Vmobject.cow_breaks obj);
+  check_int "one ckpt-cow fault" 1 (Vmmap.faults m).Vmmap.ckpt_cow;
+  check_int "one major fault" 1 (Vmmap.faults m).Vmmap.major;
+  check_bool "unarmed after write" false (Vmobject.is_armed obj pindex);
+  check_int "dirty after write" 1 (Vmobject.dirty_count obj);
+  check_int "heat kept, plus the write" (heat + 1) (Vmobject.heat obj pindex);
+  let written = Vmmap.read m ~vpn in
+  (match Vmobject.arm_for_checkpoint obj ~mode:`Dirty_only with
+   | [ item ] ->
+     check_int "captured page" pindex item.Vmobject.pindex;
+     Alcotest.check content_t "captured the new content" written item.Vmobject.content;
+     Vmobject.release_flush_item ~pool item
+   | items -> Alcotest.failf "expected one capture, got %d" (List.length items))
+
+(* Model-based check of one object's page state: a random sequence of
+   operations runs against both a Vmobject and an association list of
+   (page index, state), and every observable must agree after each
+   step. Operations that require a present (or resident, or armed) page
+   are skipped when the model says the page does not qualify, as the
+   VM callers never issue them then. *)
+
+type model_page = {
+  m_content : Content.t;
+  m_resident : bool;
+  m_dirty : bool;
+  m_armed : bool;
+  m_heat : int;
+}
+
+type page_op =
+  | Install of int * int64
+  | Mark_dirty of int
+  | Arm of [ `Full | `Dirty_only ]
+  | Disarm_for_write of int
+  | Page_out of int
+  | Page_in of int
+  | Touch of int
+  | Age_heat
+
+let page_op_to_string = function
+  | Install (p, s) -> Printf.sprintf "install %d %Ld" p s
+  | Mark_dirty p -> Printf.sprintf "mark_dirty %d" p
+  | Arm `Full -> "arm full"
+  | Arm `Dirty_only -> "arm dirty_only"
+  | Disarm_for_write p -> Printf.sprintf "disarm_for_write %d" p
+  | Page_out p -> Printf.sprintf "page_out %d" p
+  | Page_in p -> Printf.sprintf "page_in %d" p
+  | Touch p -> Printf.sprintf "touch %d" p
+  | Age_heat -> "age_heat"
+
+let model_pages = 8
+
+let page_op_gen =
+  let page = QCheck.Gen.int_bound (model_pages - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun p s -> Install (p, Int64.of_int s)) page (int_bound 1000));
+        (3, map (fun p -> Mark_dirty p) page);
+        (1, return (Arm `Full));
+        (2, return (Arm `Dirty_only));
+        (2, map (fun p -> Disarm_for_write p) page);
+        (1, map (fun p -> Page_out p) page);
+        (1, map (fun p -> Page_in p) page);
+        (4, map (fun p -> Touch p) page);
+        (1, return Age_heat);
+      ])
+
+let model_hot_pages model ~limit =
+  List.filter (fun (_, mp) -> mp.m_heat > 0) model
+  |> List.sort (fun (pa, a) (pb, b) ->
+         match Int.compare b.m_heat a.m_heat with 0 -> Int.compare pa pb | c -> c)
+  |> List.filteri (fun i _ -> i < limit)
+  |> List.map fst
+
+(* Apply [op] to both sides; [false] when an output disagrees. *)
+let model_step pool o model op =
+  let update p f = List.map (fun (q, mp) -> if q = p then (q, f mp) else (q, mp)) model in
+  let find p = List.assoc_opt p model in
+  let read_cost = Duration.microseconds 10 in
+  match op with
+  | Install (p, seed) ->
+    let content = Content.of_seed seed in
+    Vmobject.install o p (Frame.alloc pool content);
+    let model =
+      match find p with
+      | Some _ -> update p (fun mp -> { mp with m_content = content; m_resident = true })
+      | None ->
+        (p, { m_content = content; m_resident = true; m_dirty = false; m_armed = false;
+              m_heat = 0 })
+        :: model
+    in
+    (model, true)
+  | Mark_dirty p when find p <> None ->
+    Vmobject.mark_dirty o p;
+    (update p (fun mp -> { mp with m_dirty = true }), true)
+  | Arm mode ->
+    let items = Vmobject.arm_for_checkpoint o ~mode in
+    let got = List.map (fun i -> (i.Vmobject.pindex, i.Vmobject.content)) items in
+    List.iter (Vmobject.release_flush_item ~pool) items;
+    let want =
+      List.filter (fun (_, mp) -> mode = `Full || mp.m_dirty) model
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map (fun (p, mp) -> (p, mp.m_content))
+    in
+    let captured p = List.mem_assoc p want in
+    let model =
+      List.map
+        (fun (p, mp) ->
+          (p, { mp with m_dirty = false; m_armed = mp.m_armed || captured p }))
+        model
+    in
+    let same =
+      List.length got = List.length want
+      && List.for_all2 (fun (p, c) (q, d) -> p = q && Content.equal c d) got want
+    in
+    (model, same)
+  | Disarm_for_write p -> (
+    match find p with
+    | Some mp when mp.m_resident && mp.m_armed ->
+      let fresh = Vmobject.disarm_for_write o p in
+      ( update p (fun mp -> { mp with m_armed = false; m_dirty = true }),
+        Content.equal fresh.Frame.content mp.m_content )
+    | _ -> (model, true))
+  | Page_out p -> (
+    match find p with
+    | Some mp when mp.m_resident ->
+      let content = Vmobject.page_out o p ~read_cost in
+      ( update p (fun mp -> { mp with m_resident = false }),
+        Content.equal content mp.m_content )
+    | _ -> (model, true))
+  | Page_in p -> (
+    match find p with
+    | Some mp when not mp.m_resident ->
+      Vmobject.page_in o p (Frame.alloc pool mp.m_content);
+      (update p (fun mp -> { mp with m_resident = true }), true)
+    | _ -> (model, true))
+  | Touch p when find p <> None ->
+    Vmobject.touch o p;
+    (update p (fun mp -> { mp with m_heat = mp.m_heat + 1 }), true)
+  | Age_heat ->
+    Vmobject.age_heat o;
+    (List.map (fun (p, mp) -> (p, { mp with m_heat = mp.m_heat / 2 })) model, true)
+  | Mark_dirty _ | Touch _ -> (model, true)
+
+let model_agrees o model =
+  let per_page p =
+    let mp = List.assoc_opt p model in
+    let armed = match mp with Some mp -> mp.m_armed | None -> false in
+    let heat = match mp with Some mp -> mp.m_heat | None -> 0 in
+    let slot_ok =
+      match (Vmobject.resolve o p, mp) with
+      | Vmobject.Absent, None -> true
+      | Vmobject.Found { slot = Vmobject.Resident f; _ }, Some mp ->
+        mp.m_resident && Content.equal f.Frame.content mp.m_content
+      | Vmobject.Found { slot = Vmobject.Paged_out { content; _ }; _ }, Some mp ->
+        (not mp.m_resident) && Content.equal content mp.m_content
+      | _ -> false
+    in
+    slot_ok && Vmobject.is_armed o p = armed && Vmobject.heat o p = heat
+  in
+  Vmobject.dirty_count o = List.length (List.filter (fun (_, mp) -> mp.m_dirty) model)
+  && List.for_all per_page (List.init model_pages Fun.id)
+  && Vmobject.hot_pages o ~limit:3 = model_hot_pages model ~limit:3
+  && Vmobject.hot_pages o ~limit:max_int = model_hot_pages model ~limit:max_int
+
+let prop_page_state_model =
+  QCheck.Test.make ~name:"page state matches an association-list model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list page_op_to_string)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) page_op_gen))
+    (fun ops ->
+      let pool = Frame.create_pool () in
+      let o = Vmobject.create ~pool Vmobject.Anonymous in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+          let model, outputs_ok = model_step pool o model op in
+          outputs_ok && model_agrees o model && go model rest
+      in
+      go [] ops)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -629,6 +839,7 @@ let () =
             test_write_to_armed_charges_cow;
           Alcotest.test_case "shared page flushed once" `Quick test_never_flush_twice;
           qt prop_incremental_capture_equals_dirty;
+          qt prop_page_state_model;
         ] );
       ( "vmmap",
         [
@@ -651,5 +862,7 @@ let () =
           Alcotest.test_case "hot set ranking" `Quick test_hot_set_ranking;
           Alcotest.test_case "rebalance under pressure" `Quick test_swap_rebalance;
           Alcotest.test_case "swap roundtrip" `Quick test_swap_roundtrip_content;
+          Alcotest.test_case "armed page state survives swap" `Quick
+            test_armed_page_state_survives_swap;
         ] );
     ]
