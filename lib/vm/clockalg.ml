@@ -7,17 +7,13 @@ let create () = { hand = 0 }
 (* Resident, evictable (unshared) pages of the objects, in a stable
    order: (object id, page index). *)
 let resident_pages objects =
-  let pages =
-    List.concat_map
-      (fun obj ->
-        Vmobject.fold_pages obj ~init:[] ~f:(fun acc pindex slot ->
-            match slot with
-            | Vmobject.Resident frame -> (obj, pindex, frame) :: acc
-            | Vmobject.Paged_out _ -> acc)
-        |> List.rev)
-      objects
-  in
-  Array.of_list pages
+  List.fold_left
+    (fun acc obj ->
+      Vmobject.fold_pages obj ~init:acc ~f:(fun acc pindex -> function
+        | Vmobject.Resident frame -> (obj, pindex, frame) :: acc
+        | Vmobject.Paged_out _ -> acc))
+    [] objects
+  |> List.rev |> Array.of_list
 
 let sweep t ~objects ~want =
   if want < 0 then invalid_arg "Clockalg.sweep: negative want";
@@ -44,26 +40,5 @@ let sweep t ~objects ~want =
     done;
     List.rev !victims
   end
-
-let hot_set ~objects ~limit =
-  if limit < 0 then invalid_arg "Clockalg.hot_set: negative limit";
-  let scored =
-    List.concat_map
-      (fun obj ->
-        List.map (fun pindex -> (Vmobject.heat obj pindex, obj, pindex))
-          (Vmobject.hot_pages obj ~limit:max_int))
-      objects
-  in
-  let compare_hotness (ha, oa, pa) (hb, ob, pb) =
-    match Int.compare hb ha with
-    | 0 -> (
-      match Int.compare (Vmobject.oid oa) (Vmobject.oid ob) with
-      | 0 -> Int.compare pa pb
-      | c -> c)
-    | c -> c
-  in
-  List.sort compare_hotness scored
-  |> List.filteri (fun i _ -> i < limit)
-  |> List.map (fun (_, obj, pindex) -> (obj, pindex))
 
 let age ~objects = List.iter Vmobject.age_heat objects

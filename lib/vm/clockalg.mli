@@ -1,5 +1,4 @@
-(** Clock (second-chance) page replacement, plus the hot-set extraction
-    Aurora's lazy restore uses.
+(** Clock (second-chance) page replacement.
 
     The sweep walks resident pages of the given objects in a stable
     circular order: pages whose accessed bit is set get a second chance
@@ -8,11 +7,9 @@
     in-flight flushes) are skipped — evicting them would need reverse
     mapping machinery the simulation does not model.
 
-    [Vmobject.hot_pages] provides the per-object heat ranking; this
-    module adds the cross-object selection used when a checkpoint
-    records which pages to page in eagerly on restore ("Aurora uses the
-    clock page replacement algorithm to optimize restore by eagerly
-    paging in the hottest pages"). *)
+    {!age} decays the per-page heat that [Vmobject.hot_pages] ranks
+    when a checkpoint records which pages lazy restore pages in
+    eagerly. *)
 
 type victim = { obj : Vmobject.t; pindex : int; frame : Frame.t }
 
@@ -25,10 +22,6 @@ val sweep : t -> objects:Vmobject.t list -> want:int -> victim list
 (** Find up to [want] eviction victims. May return fewer when most
     pages are hot or shared; at most two full revolutions are made per
     call. *)
-
-val hot_set : objects:Vmobject.t list -> limit:int -> (Vmobject.t * int) list
-(** The globally hottest [limit] (object, pindex) pairs, hottest
-    first; ties broken by (object id, page index) for determinism. *)
 
 val age : objects:Vmobject.t list -> unit
 (** Apply one aging step to every object's heat counters. *)

@@ -22,11 +22,11 @@
       history; the checkpoint stores the hot set so lazy restore can
       eagerly page in the hottest pages.
 
-    Page state lives on the page: the object keeps one table from page
-    index to an entry holding the page's slot, dirty and armed bits and
-    heat, plus a running count of dirty pages, so {!dirty_count} is
-    O(1). Replacing a page's slot ({!install}, {!page_in},
-    {!page_out}) keeps the rest of its state. *)
+    Page state lives on the page: one page table of 512-page chunks,
+    in page-index order, holds each page's slot, heat and dirty/armed
+    bits in dense arrays, plus a running count of dirty pages, so
+    {!dirty_count} is O(1). Replacing a page's slot ({!install},
+    {!page_in}, {!page_out}) keeps the rest of its state. *)
 
 open Aurora_simtime
 
@@ -63,7 +63,8 @@ val resolve : t -> int -> resolution
 
 val install : t -> int -> Frame.t -> unit
 (** Install a frame at a page index, replacing (and releasing) any
-    resident predecessor. *)
+    resident predecessor. Raises [Invalid_argument] on a negative page
+    index. *)
 
 val install_paged_out : t -> int -> content:Content.t -> read_cost:Duration.t -> unit
 

@@ -63,6 +63,11 @@ Absolute limits (no baseline needed — the value itself is the gate):
   qos-sweep    / qos_*_flag             must be 1: p99 improvement >=
                                         30%, flush cost <= 10%, stop
                                         time within 5% of FIFO
+  table3       / full_stop_us           Table 3 fidelity: within 5% of
+                                        the paper's 5413.8 us
+  table3       / incr_stop_us           incremental stop below 1 ms
+  table3       / data_copy_ratio        full/incremental lazy data copy
+                                        within 7.2 +- 0.5
 
 Histogram distribution shape: any guarded target may carry
 "<key>_buckets" entries (per-bucket counts as emitted by the bench's

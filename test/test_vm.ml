@@ -535,9 +535,8 @@ let test_hot_set_ranking () =
   for _ = 1 to 5 do
     ignore (Vmmap.read m ~vpn:(base + 5))
   done;
-  let hot = Clockalg.hot_set ~objects:[ e.Vmmap.obj ] ~limit:2 in
-  (match hot with
-   | [ (_, p1); (_, p2) ] ->
+  (match Vmobject.hot_pages e.Vmmap.obj ~limit:2 with
+   | [ p1; p2 ] ->
      check_int "hottest" (e.Vmmap.obj_offset + 2) p1;
      check_int "second" (e.Vmmap.obj_offset + 5) p2
    | _ -> Alcotest.fail "expected two hot pages");
@@ -628,6 +627,95 @@ let test_armed_page_state_survives_swap () =
      Vmobject.release_flush_item ~pool item
    | items -> Alcotest.failf "expected one capture, got %d" (List.length items))
 
+(* A universe crosses process boundaries through [Marshal], so a
+   page table must come back whole: sparse pages with empty chunks
+   between them, and every page's dirty, armed and heat state. *)
+let test_object_marshal_roundtrip () =
+  let pool = Frame.create_pool () in
+  let o = Vmobject.create ~pool Vmobject.Anonymous in
+  let pages = [ 0; 511; 512; 1000; 70_000 ] in
+  List.iteri
+    (fun k p -> Vmobject.install o p (Frame.alloc pool (Content.of_seed (Int64.of_int (k + 1)))))
+    pages;
+  List.iter (Vmobject.release_flush_item ~pool) (Vmobject.arm_for_checkpoint o ~mode:`Full);
+  Vmobject.mark_dirty o 511;
+  Vmobject.mark_dirty o 70_000;
+  ignore (Vmobject.disarm_for_write o 1000);
+  ignore (Vmobject.page_out o 512 ~read_cost:(Duration.microseconds 10));
+  List.iter
+    (fun (p, n) -> for _ = 1 to n do Vmobject.touch o p done)
+    [ (0, 3); (512, 1); (1000, 2); (70_000, 3) ];
+  let (pool', o' : Frame.pool * Vmobject.t) =
+    Marshal.from_string (Marshal.to_string (pool, o) []) 0
+  in
+  let pages_of o =
+    Vmobject.fold_pages o ~init:[] ~f:(fun acc p slot ->
+        match slot with
+        | Vmobject.Resident f -> (p, true, f.Frame.content) :: acc
+        | Vmobject.Paged_out { content; _ } -> (p, false, content) :: acc)
+    |> List.rev
+  in
+  let same_pages name a b =
+    check_bool name true
+      (List.length a = List.length b
+      && List.for_all2 (fun (p, r, c) (q, s, d) -> p = q && r = s && Content.equal c d) a b)
+  in
+  same_pages "pages" (pages_of o) (pages_of o');
+  check_int "page count" (List.length pages) (List.length (pages_of o'));
+  let ints = Alcotest.(check (list int)) in
+  ints "hot set" (Vmobject.hot_pages o ~limit:max_int) (Vmobject.hot_pages o' ~limit:max_int);
+  ints "top two" [ 0; 70_000 ] (Vmobject.hot_pages o' ~limit:2);
+  check_int "dirty count" (Vmobject.dirty_count o) (Vmobject.dirty_count o');
+  List.iter
+    (fun p ->
+      check_bool "armed" (Vmobject.is_armed o p) (Vmobject.is_armed o' p);
+      check_int "heat" (Vmobject.heat o p) (Vmobject.heat o' p))
+    (pages @ [ 1; 513; 5000; 100_000 ]);
+  let captures pool o =
+    let items = Vmobject.arm_for_checkpoint o ~mode:`Dirty_only in
+    List.iter (Vmobject.release_flush_item ~pool) items;
+    List.map (fun i -> (i.Vmobject.pindex, i.Vmobject.frame <> None, i.Vmobject.content)) items
+  in
+  let want = captures pool o in
+  same_pages "dirty capture" want (captures pool' o');
+  ints "dirty pages" [ 511; 1000; 70_000 ] (List.map (fun (p, _, _) -> p) want)
+
+(* Allocation bounds for the per-checkpoint page-table work on a large
+   object: the hot set allocates in proportion to its limit and an
+   incremental arming in proportion to the dirty pages, not to the
+   object's size. Words allocated are deterministic for a given binary,
+   so this is a regression guard that needs no timing. *)
+let test_checkpoint_work_allocation () =
+  let npages = 65_536 and ndirty = 184 and limit = 1024 in
+  let pool = Frame.create_pool () in
+  let o = Vmobject.create ~pool Vmobject.Anonymous in
+  for p = 0 to npages - 1 do
+    Vmobject.install o p (Frame.alloc pool (Content.of_seed (Int64.of_int p)));
+    for _ = 0 to p mod 7 do Vmobject.touch o p done
+  done;
+  for k = 0 to ndirty - 1 do Vmobject.mark_dirty o (k * (npages / ndirty)) done;
+  (* Minor + major - promoted words; the minor count comes from
+     [Gc.minor_words], as OCaml 5.1's [Gc.counters] under-reports it. *)
+  let words f =
+    let s0 = Gc.quick_stat () and m0 = Gc.minor_words () in
+    let r = f () in
+    let m1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+    (r, m1 -. m0 +. (s1.major_words -. s0.major_words) -. (s1.promoted_words -. s0.promoted_words))
+  in
+  let hot, hot_words = words (fun () -> Vmobject.hot_pages o ~limit) in
+  check_int "hot set size" limit (List.length hot);
+  check_bool (Printf.sprintf "hot set allocates %.0f words <= 8 per entry" hot_words) true
+    (hot_words <= float_of_int (8 * limit));
+  let items, arm_words = words (fun () -> Vmobject.arm_for_checkpoint o ~mode:`Dirty_only) in
+  check_int "captured the dirty pages" ndirty (List.length items);
+  List.iter (Vmobject.release_flush_item ~pool) items;
+  check_bool (Printf.sprintf "arming allocates %.0f words <= 16 per dirty page" arm_words) true
+    (arm_words <= float_of_int (16 * ndirty));
+  let n, fold_words = words (fun () -> Vmobject.fold_pages o ~init:0 ~f:(fun n _ _ -> n + 1)) in
+  check_int "fold visits every page" npages n;
+  check_bool (Printf.sprintf "counting fold allocates %.0f words <= 64" fold_words) true
+    (fold_words <= 64.)
+
 (* Model-based check of one object's page state: a random sequence of
    operations runs against both a Vmobject and an association list of
    (page index, state), and every observable must agree after each
@@ -664,10 +752,12 @@ let page_op_to_string = function
   | Touch p -> Printf.sprintf "touch %d" p
   | Age_heat -> "age_heat"
 
-let model_pages = 8
+(* Page indexes that straddle chunk boundaries of the page table,
+   plus one far index that leaves empty chunks in between. *)
+let model_pages = [ 0; 1; 7; 511; 512; 513; 1024; 70_000 ]
 
 let page_op_gen =
-  let page = QCheck.Gen.int_bound (model_pages - 1) in
+  let page = QCheck.Gen.oneofl model_pages in
   QCheck.Gen.(
     frequency
       [
@@ -776,7 +866,8 @@ let model_agrees o model =
     slot_ok && Vmobject.is_armed o p = armed && Vmobject.heat o p = heat
   in
   Vmobject.dirty_count o = List.length (List.filter (fun (_, mp) -> mp.m_dirty) model)
-  && List.for_all per_page (List.init model_pages Fun.id)
+  && List.for_all per_page model_pages
+  && Vmobject.hot_pages o ~limit:0 = []
   && Vmobject.hot_pages o ~limit:3 = model_hot_pages model ~limit:3
   && Vmobject.hot_pages o ~limit:max_int = model_hot_pages model ~limit:max_int
 
@@ -823,6 +914,7 @@ let () =
           Alcotest.test_case "decref releases chain" `Quick test_object_decref_releases_chain;
           Alcotest.test_case "replace releases old frame" `Quick
             test_object_replace_releases_old;
+          Alcotest.test_case "marshal round-trip" `Quick test_object_marshal_roundtrip;
         ] );
       ( "checkpoint-cow",
         [
@@ -840,6 +932,8 @@ let () =
           Alcotest.test_case "shared page flushed once" `Quick test_never_flush_twice;
           qt prop_incremental_capture_equals_dirty;
           qt prop_page_state_model;
+          Alcotest.test_case "checkpoint work allocation" `Quick
+            test_checkpoint_work_allocation;
         ] );
       ( "vmmap",
         [
