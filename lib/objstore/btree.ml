@@ -23,12 +23,7 @@ type t = {
 }
 
 let create ~dev ~alloc =
-  let t = { dev; alloc; cache = Hashtbl.create 1024; current_epoch = 0;
-            reader = None } in
-  (* Freed blocks must leave the cache: a freed block index can be
-     reallocated with new content. *)
-  Alloc.add_on_free alloc (fun b -> Hashtbl.remove t.cache b);
-  t
+  { dev; alloc; cache = Hashtbl.create 1024; current_epoch = 0; reader = None }
 
 let set_reader t f = t.reader <- Some f
 
@@ -148,14 +143,16 @@ let rec find t ~root key =
 let retain_root t root = Alloc.incref t.alloc root
 
 let rec release_root t block =
-  (* Read before decref: freeing evicts the cache entry. *)
   let node = (read_cached t block).node in
   if Alloc.refcount t.alloc block = 1 then begin
     (match node with
      | Leaf entries ->
        List.iter (function _, Ptr b -> Alloc.decref t.alloc b | _, Imm _ -> ()) entries
      | Internal (_, children) -> List.iter (release_root t) children);
-    Alloc.decref t.alloc block
+    Alloc.decref t.alloc block;
+    (* Only the tree frees node blocks, and a freed block can be
+       reallocated with new content: evict it here. *)
+    Hashtbl.remove t.cache block
   end
   else Alloc.decref t.alloc block
 

@@ -89,7 +89,6 @@ type t = {
   dev : Devarray.t;
   alloc : Alloc.t;
   tree : Btree.t;
-  dedup : Dedup.t;
   dedup_enabled : bool;
   gens : (gen, gen_entry) Hashtbl.t;
   mutable commit_seq : int;          (* superblock alternation counter *)
@@ -106,8 +105,6 @@ type t = {
   mutable open_gen : (gen * int) option; (* generation being built, working root *)
   mutable pending_pages : (int * Blockdev.content) list; (* data block writes *)
   mutable prot : protection;
-  csums : (int, int64) Hashtbl.t;    (* block -> expected content hash *)
-  mirrors : (int, int) Hashtbl.t;    (* primary block -> mirror block *)
   io : io_stats;
   mutable repair_log : (int * repair_origin) list;
   mutable quarantined : (gen * string) list;
@@ -137,6 +134,12 @@ type t = {
      reads for reserved scheduler slack. *)
 }
 
+let generations t =
+  Hashtbl.fold (fun g _ acc -> g :: acc) t.gens [] |> List.sort Int.compare
+
+let latest t =
+  match generations t with [] -> None | gens -> Some (List.nth gens (List.length gens - 1))
+
 let open_prov t =
   match t.open_gen with
   | Some (g, _) -> Hashtbl.find_opt t.provs g
@@ -160,8 +163,10 @@ let hash_string s =
     s;
   !h
 
-(* The same hash the dedup index uses, so a corrupted block's expected
-   checksum doubles as a lookup key for a surviving duplicate. *)
+(* The same hash the dedup index uses: a block's checksum and its dedup
+   key share one column of the block table, and a corrupted block's
+   expected checksum doubles as a lookup key for a surviving
+   duplicate. *)
 let checksum_content = function
   | Blockdev.Data s -> hash_string s
   | Blockdev.Seed s -> Content.hash (Content.of_seed s)
@@ -209,13 +214,13 @@ let heal t block content origin =
 
 let try_repair t block expected cause =
   let candidates =
-    (match Hashtbl.find_opt t.mirrors block with
+    (match Alloc.mirror t.alloc block with
      | Some m -> [ (m, Mirror) ]
      | None -> [])
     @
     (match expected with
      | Some h -> (
-       match Dedup.peek t.dedup ~hash:h with
+       match Alloc.dedup_peek t.alloc ~hash:h with
        | Some b when b <> block -> [ (b, Dedup_copy) ]
        | Some _ | None -> [])
      | None -> [])
@@ -243,7 +248,7 @@ let try_repair t block expected cause =
    protection is on, repair from the mirror or a dedup duplicate, and
    raise a typed failure only when no copy survives. *)
 let verified_read t block =
-  let expected = if t.prot.verify then Hashtbl.find_opt t.csums block else None in
+  let expected = Alloc.checksum t.alloc block in
   match device_read_retry t block 0 with
   | Ok c -> (
     match expected with
@@ -337,28 +342,22 @@ let write_blackbox t payload =
   try ignore (Devarray.write_oob t.dev [ (slot, Blockdev.Data framed) ])
   with Fault.Io_error _ -> ()
 
-let read_blackbox t =
-  let read_slot slot =
-    match device_read_retry t slot 0 with
-    | Ok (Blockdev.Data s) -> decode_bbox s
-    | Ok _ | Error _ -> None
-  in
-  List.init blackbox_slots (fun i -> read_slot (superblock_slots + i))
+(* The intact summaries, as (sequence, payload), in slot order. *)
+let bbox_summaries t =
+  List.init blackbox_slots (fun i ->
+      match device_read_retry t (superblock_slots + i) 0 with
+      | Ok (Blockdev.Data s) -> decode_bbox s
+      | Ok _ | Error _ -> None)
   |> List.filter_map Fun.id
-  |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
-  |> function [] -> None | (_, payload) :: _ -> Some payload
+
+let read_blackbox t =
+  match List.sort (fun (a, _) (b, _) -> Int.compare b a) (bbox_summaries t) with
+  | [] -> None
+  | (_, payload) :: _ -> Some payload
 
 (* Resume slot alternation above any surviving summary so reopening
    never clobbers the newest valid slot with the next write. *)
-let scan_bbox_seq t =
-  List.init blackbox_slots (fun i -> superblock_slots + i)
-  |> List.fold_left
-       (fun acc slot ->
-         match device_read_retry t slot 0 with
-         | Ok (Blockdev.Data s) -> (
-           match decode_bbox s with Some (seq, _) -> max acc seq | None -> acc)
-         | Ok _ | Error _ -> acc)
-       0
+let scan_bbox_seq t = List.fold_left (fun acc (seq, _) -> max acc seq) 0 (bbox_summaries t)
 
 (* --- construction --------------------------------------------------- *)
 
@@ -378,14 +377,13 @@ let make ?(dedup = true) ?prot dev =
       ~stripes:(Devarray.stripes dev) ()
   in
   let tree = Btree.create ~dev ~alloc in
-  let dedup_index = Dedup.create ~alloc in
   let t =
-    { dev; alloc; tree; dedup = dedup_index; dedup_enabled = dedup;
+    { dev; alloc; tree; dedup_enabled = dedup;
       gens = Hashtbl.create 16; commit_seq = 0; next_gen = 1;
       gentable_blocks = []; prev_gentable_blocks = [];
       gentable_mirror_blocks = []; prev_gentable_mirror_blocks = [];
       gentable_csum = hash_string ""; open_gen = None; pending_pages = [];
-      prot; csums = Hashtbl.create 4096; mirrors = Hashtbl.create 256;
+      prot;
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
       repair_log = []; quarantined = []; provs = Hashtbl.create 16;
@@ -393,39 +391,28 @@ let make ?(dedup = true) ?prot dev =
       gen_durable = Hashtbl.create 16; sb_horizon = Duration.zero;
       deferred = []; bbox_seq = 0; read_cls = Iosched.Foreground }
   in
-  Alloc.add_on_free alloc (fun b ->
-      Hashtbl.remove t.csums b;
-      match Hashtbl.find_opt t.mirrors b with
-      | Some m ->
-        Hashtbl.remove t.mirrors b;
-        Alloc.decref alloc m
-      | None -> ());
   Alloc.set_deferred_frees alloc true;
   Alloc.set_pressure_hook alloc (fun () -> settle_deferred_frees t);
   Btree.set_reader tree (fun b -> verified_read t b);
   t
 
-(* Superblock payload is wrapped with its own checksum so a silently
-   corrupted slot is rejected at recovery instead of trusted. *)
-let encode_superblock t =
-  let w = Serial.writer () in
-  Serial.w_string w magic;
-  Serial.w_int w t.commit_seq;
-  Serial.w_int w t.next_gen;
-  Serial.w_list w Serial.w_int t.gentable_blocks;
-  Serial.w_u8 w (if t.prot.verify then 1 else 0);
-  Serial.w_u8 w (if t.prot.mirror then 1 else 0);
-  Serial.w_list w Serial.w_int t.gentable_mirror_blocks;
-  Serial.w_int64 w t.gentable_csum;
-  let payload = Serial.contents w in
-  let outer = Serial.writer () in
-  Serial.w_string outer payload;
-  Serial.w_int64 outer (hash_string payload);
-  Serial.contents outer
+(* A block number read from disk must name a block this store could
+   have allocated: not a reserved slot, not past the device. *)
+let valid_block t b =
+  b >= reserved_blocks
+  && match Devarray.capacity_blocks t.dev with Some cap -> b < cap | None -> true
 
+(* The superblock names the generation table's chunks (and its
+   mirror's). A table too long to list inline — a protected store keeps
+   a checksum and a mirror entry per block in it — is named through
+   [sb_depth] levels of index blocks instead: each level is a Serial
+   list of block numbers chunked over blocks, and the deepest level
+   lists the table's own chunks. An inline superblock keeps the
+   original magic and layout byte for byte. *)
 type superblock = {
   sb_seq : int;
   sb_next_gen : int;
+  sb_depth : int;
   sb_table : int list;
   sb_verify : bool;
   sb_mirror : bool;
@@ -433,24 +420,117 @@ type superblock = {
   sb_table_csum : int64;
 }
 
+let magic_indexed = "AURORA-SLS-v3"
+
+(* Block numbers per copy an indexed superblock lists. *)
+let index_fanout = 200
+
+(* The payload is wrapped with its own checksum so a silently
+   corrupted slot is rejected at recovery instead of trusted. *)
+let encode_superblock sb =
+  let w = Serial.writer () in
+  Serial.w_string w (if sb.sb_depth = 0 then magic else magic_indexed);
+  Serial.w_int w sb.sb_seq;
+  Serial.w_int w sb.sb_next_gen;
+  if sb.sb_depth > 0 then Serial.w_int w sb.sb_depth;
+  Serial.w_list w Serial.w_int sb.sb_table;
+  Serial.w_u8 w (if sb.sb_verify then 1 else 0);
+  Serial.w_u8 w (if sb.sb_mirror then 1 else 0);
+  Serial.w_list w Serial.w_int sb.sb_table_mirror;
+  Serial.w_int64 w sb.sb_table_csum;
+  let payload = Serial.contents w in
+  let outer = Serial.writer () in
+  Serial.w_string outer payload;
+  Serial.w_int64 outer (hash_string payload);
+  Serial.contents outer
+
 let decode_superblock data =
   let outer = Serial.reader data in
   let payload = Serial.r_string outer in
   if Serial.r_int64 outer <> hash_string payload then None
   else
     let r = Serial.reader payload in
-    if Serial.r_string r <> magic then None
+    let m = Serial.r_string r in
+    if m <> magic && m <> magic_indexed then None
     else begin
       let sb_seq = Serial.r_int r in
       let sb_next_gen = Serial.r_int r in
+      let sb_depth = if m = magic then 0 else Serial.r_int r in
       let sb_table = Serial.r_list r Serial.r_int in
       let sb_verify = Serial.r_u8 r = 1 in
       let sb_mirror = Serial.r_u8 r = 1 in
       let sb_table_mirror = Serial.r_list r Serial.r_int in
       let sb_table_csum = Serial.r_int64 r in
-      Some { sb_seq; sb_next_gen; sb_table; sb_verify; sb_mirror;
+      Some { sb_seq; sb_next_gen; sb_depth; sb_table; sb_verify; sb_mirror;
              sb_table_mirror; sb_table_csum }
     end
+
+let chunk_string data =
+  let n = String.length data in
+  let nchunks = (n + Blockdev.block_size - 1) / Blockdev.block_size in
+  List.init nchunks (fun i ->
+      String.sub data (i * Blockdev.block_size)
+        (min Blockdev.block_size (n - (i * Blockdev.block_size))))
+
+let encode_blocks blocks =
+  let w = Serial.writer () in
+  Serial.w_list w Serial.w_int blocks;
+  Serial.contents w
+
+let superblock t ~depth ~table ~mirror =
+  { sb_seq = t.commit_seq; sb_next_gen = t.next_gen; sb_depth = depth; sb_table = table;
+    sb_verify = t.prot.verify; sb_mirror = t.prot.mirror; sb_table_mirror = mirror;
+    sb_table_csum = t.gentable_csum }
+
+(* Index blocks per level needed to name a table of [n] chunks per
+   copy ([copies] is 2 with the mirror); [] when the superblock lists
+   them inline. *)
+let index_plan t ~copies n =
+  let inline = encode_superblock (superblock t ~depth:0 ~table:[] ~mirror:[]) in
+  let rec levels n =
+    if n <= index_fanout then []
+    else
+      (* [encode_blocks] of [n] blocks is 8 + 8n bytes. *)
+      let k = (8 + (8 * n) + Blockdev.block_size - 1) / Blockdev.block_size in
+      k :: levels k
+  in
+  if String.length inline + (8 * copies * n) <= Blockdev.block_size then []
+  else levels n
+
+(* Write [depth] index levels above [blocks]: the top level the
+   superblock lists, and the index writes. *)
+let rec index_levels t depth blocks =
+  if depth = 0 || blocks = [] then (blocks, [])
+  else begin
+    let idx =
+      List.map (fun c -> (Alloc.alloc t.alloc, c)) (chunk_string (encode_blocks blocks))
+    in
+    let top, writes = index_levels t (depth - 1) (List.map fst idx) in
+    (top, idx @ writes)
+  end
+
+(* Follow [depth] index levels down from [blocks]: the table's chunk
+   list and the index blocks passed on the way, or [None] when a level
+   does not read back. *)
+let rec resolve_index read depth blocks =
+  if depth = 0 || blocks = [] then Some (blocks, [])
+  else
+    match Option.map (fun s -> Serial.r_list (Serial.reader s) Serial.r_int) (read blocks) with
+    | None | (exception Serial.Corrupt _) -> None
+    | Some next ->
+      Option.map
+        (fun (leaves, index) -> (leaves, blocks @ index))
+        (resolve_index read (depth - 1) next)
+
+(* A list of (block, value) pairs in block order, read straight off
+   the block table: the bytes of a [Serial.w_list]. *)
+let w_column w iter w_value =
+  let n = ref 0 in
+  iter (fun _ _ -> incr n);
+  Serial.w_int w !n;
+  iter (fun b v ->
+      Serial.w_int w b;
+      w_value w v)
 
 let encode_gentable t =
   let w = Serial.writer () in
@@ -463,26 +543,8 @@ let encode_gentable t =
       Serial.w_int w e.root;
       Serial.w_option w Serial.w_string e.name)
     entries;
-  if t.prot.verify then begin
-    let cs =
-      Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.csums []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    Serial.w_list w (fun w (b, c) ->
-        Serial.w_int w b;
-        Serial.w_int64 w c)
-      cs
-  end;
-  if t.prot.mirror then begin
-    let ms =
-      Hashtbl.fold (fun b m acc -> (b, m) :: acc) t.mirrors []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    Serial.w_list w (fun w (b, m) ->
-        Serial.w_int w b;
-        Serial.w_int w m)
-      ms
-  end;
+  if t.prot.verify then w_column w (Alloc.iter_checksums t.alloc) Serial.w_int64;
+  if t.prot.mirror then w_column w (Alloc.iter_mirrors t.alloc) Serial.w_int;
   (* Provenance of committed generations rides in the table so offline
      inspection of a reopened store sees write-time accounting too. *)
   let pvs =
@@ -491,22 +553,17 @@ let encode_gentable t =
       t.provs []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  Serial.w_list w (fun w (_, p) ->
-      Serial.w_int w p.pv_gen;
-      Serial.w_int w p.pv_records;
-      Serial.w_int w p.pv_pages;
-      Serial.w_int w p.pv_blobs;
-      Serial.w_int w p.pv_logical_bytes;
-      Serial.w_int w p.pv_data_blocks;
-      Serial.w_int w p.pv_dedup_hits;
-      Serial.w_int w p.pv_dedup_saved_bytes;
-      Serial.w_int w p.pv_mirror_blocks;
-      Serial.w_int w p.pv_meta_blocks;
-      Serial.w_int w p.pv_commit_blocks)
+  Serial.w_list w
+    (fun w (_, p) ->
+      List.iter (Serial.w_int w)
+        [ p.pv_gen; p.pv_records; p.pv_pages; p.pv_blobs; p.pv_logical_bytes;
+          p.pv_data_blocks; p.pv_dedup_hits; p.pv_dedup_saved_bytes;
+          p.pv_mirror_blocks; p.pv_meta_blocks; p.pv_commit_blocks ])
     pvs;
   Serial.contents w
 
-let decode_gentable ~verify ~mirror data =
+(* Checksums and mirrors go straight into the block table. *)
+let decode_gentable t data =
   let r = Serial.reader data in
   let entries =
     Serial.r_list r (fun r ->
@@ -515,45 +572,39 @@ let decode_gentable ~verify ~mirror data =
         let name = Serial.r_option r Serial.r_string in
         (g, { root; name }))
   in
-  let csums =
-    if verify then
-      Serial.r_list r (fun r ->
-          let b = Serial.r_int r in
-          let c = Serial.r_int64 r in
-          (b, c))
-    else []
+  let block r =
+    let b = Serial.r_int r in
+    if valid_block t b then b
+    else raise (Serial.Corrupt (Printf.sprintf "table names block %d" b))
   in
-  let mirrors =
-    if mirror then
-      Serial.r_list r (fun r ->
-          let b = Serial.r_int r in
-          let m = Serial.r_int r in
-          (b, m))
-    else []
-  in
+  if t.prot.verify then
+    ignore
+      (Serial.r_list r (fun r ->
+           let b = block r in
+           Alloc.set_checksum t.alloc b (Serial.r_int64 r)));
+  if t.prot.mirror then
+    ignore
+      (Serial.r_list r (fun r ->
+           let b = block r in
+           Alloc.set_mirror t.alloc b (block r)));
   let provs =
     Serial.r_list r (fun r ->
-        let pv_gen = Serial.r_int r in
-        let pv_records = Serial.r_int r in
-        let pv_pages = Serial.r_int r in
-        let pv_blobs = Serial.r_int r in
-        let pv_logical_bytes = Serial.r_int r in
-        let pv_data_blocks = Serial.r_int r in
-        let pv_dedup_hits = Serial.r_int r in
-        let pv_dedup_saved_bytes = Serial.r_int r in
-        let pv_mirror_blocks = Serial.r_int r in
-        let pv_meta_blocks = Serial.r_int r in
-        let pv_commit_blocks = Serial.r_int r in
-        { pv_gen; pv_records; pv_pages; pv_blobs; pv_logical_bytes;
-          pv_data_blocks; pv_dedup_hits; pv_dedup_saved_bytes;
-          pv_mirror_blocks; pv_meta_blocks; pv_commit_blocks })
+        match Array.init 11 (fun _ -> Serial.r_int r) with
+        | [| pv_gen; pv_records; pv_pages; pv_blobs; pv_logical_bytes; pv_data_blocks;
+             pv_dedup_hits; pv_dedup_saved_bytes; pv_mirror_blocks; pv_meta_blocks;
+             pv_commit_blocks |] ->
+          { pv_gen; pv_records; pv_pages; pv_blobs; pv_logical_bytes;
+            pv_data_blocks; pv_dedup_hits; pv_dedup_saved_bytes;
+            pv_mirror_blocks; pv_meta_blocks; pv_commit_blocks }
+        | _ -> assert false)
   in
-  (entries, csums, mirrors, provs)
+  (entries, provs)
 
 let format ?dedup ?protection ~dev () =
   let t = make ?dedup ?prot:protection dev in
   (* Empty gen table: superblock alone describes the store. *)
-  Devarray.write dev 0 (Blockdev.Data (encode_superblock t));
+  Devarray.write dev 0
+    (Blockdev.Data (encode_superblock (superblock t ~depth:0 ~table:[] ~mirror:[])));
   Devarray.flush dev;
   t
 
@@ -566,13 +617,6 @@ let set_observability t ?tel () =
   t.tel <- Option.map (fun tel -> Telemetry.store tel (Devarray.name t.dev)) tel
 
 (* --- commit ---------------------------------------------------------- *)
-
-let chunk_string data =
-  let n = String.length data in
-  let nchunks = (n + Blockdev.block_size - 1) / Blockdev.block_size in
-  List.init nchunks (fun i ->
-      String.sub data (i * Blockdev.block_size)
-        (min Blockdev.block_size (n - (i * Blockdev.block_size))))
 
 let require_open t =
   match t.open_gen with
@@ -587,14 +631,7 @@ let begin_generation t ?base () =
   let g = t.next_gen in
   t.next_gen <- g + 1;
   Btree.begin_epoch t.tree g;
-  let base =
-    match base with
-    | Some b -> Some b
-    | None ->
-      Hashtbl.fold (fun g' _ acc ->
-          match acc with Some best when best >= g' -> acc | _ -> Some g')
-        t.gens None
-  in
+  let base = match base with Some b -> Some b | None -> latest t in
   let root =
     match base with
     | None -> Btree.empty_root t.tree
@@ -617,7 +654,7 @@ let tree_insert t key value =
   t.open_gen <- Some (g, root')
 
 let note_csum t block content =
-  if t.prot.verify then Hashtbl.replace t.csums block (checksum_content content)
+  if t.prot.verify then Alloc.set_checksum t.alloc block (checksum_content content)
 
 (* Queue a data block for the commit flush, recording its checksum and
    (when mirroring) allocating and queueing a replica in the same
@@ -628,9 +665,9 @@ let queue_data t block content =
   (match open_prov t with
    | Some p -> p.pv_data_blocks <- p.pv_data_blocks + 1
    | None -> ());
-  if t.prot.mirror && not (Hashtbl.mem t.mirrors block) then begin
+  if t.prot.mirror && Alloc.mirror t.alloc block = None then begin
     let m = Alloc.alloc t.alloc in
-    Hashtbl.replace t.mirrors block m;
+    Alloc.set_mirror t.alloc block m;
     t.pending_pages <- (m, content) :: t.pending_pages;
     match open_prov t with
     | Some p -> p.pv_mirror_blocks <- p.pv_mirror_blocks + 1
@@ -641,13 +678,29 @@ let queue_data t block content =
    credit the generation's provenance and the index's savings ledger. *)
 let note_dedup_saved t ~hits ~bytes =
   if hits > 0 then begin
-    Dedup.note_saved t.dedup ~bytes;
+    Alloc.note_saved t.alloc ~bytes;
     match open_prov t with
     | Some p ->
       p.pv_dedup_hits <- p.pv_dedup_hits + hits;
       p.pv_dedup_saved_bytes <- p.pv_dedup_saved_bytes + bytes
     | None -> ()
   end
+
+(* The block for a page or blob: a stored duplicate gains a reference
+   (one avoided write of [bytes]), or a fresh block is queued and
+   indexed by content. *)
+let content_block t content ~bytes =
+  let hash = checksum_content content in
+  match (if t.dedup_enabled then Alloc.dedup_find t.alloc ~hash else None) with
+  | Some block ->
+    Alloc.incref t.alloc block;
+    note_dedup_saved t ~hits:1 ~bytes;
+    block
+  | None ->
+    let block = Alloc.alloc t.alloc in
+    queue_data t block content;
+    if t.dedup_enabled then Alloc.dedup_add t.alloc ~hash ~block;
+    block
 
 let put_record t ~oid data =
   let _, root = require_open t in
@@ -692,19 +745,7 @@ let put_page t ~oid ~pindex ~seed =
      p.pv_pages <- p.pv_pages + 1;
      p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size
    | None -> ());
-  let hash = Content.hash (Content.of_seed seed) in
-  let block =
-    match (if t.dedup_enabled then Dedup.find t.dedup ~hash else None) with
-    | Some block ->
-      Alloc.incref t.alloc block;
-      note_dedup_saved t ~hits:1 ~bytes:Blockdev.block_size;
-      block
-    | None ->
-      let block = Alloc.alloc t.alloc in
-      queue_data t block (Blockdev.Seed seed);
-      if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
-      block
-  in
+  let block = content_block t (Blockdev.Seed seed) ~bytes:Blockdev.block_size in
   tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block)
 
 (* Batched page ingest: dedup hits resolve to existing blocks; the
@@ -722,7 +763,7 @@ let put_pages t ~oid pages =
      p.pv_logical_bytes <- p.pv_logical_bytes + (n * Blockdev.block_size)
    | None -> ());
   if n > 0 then begin
-    let hit = Array.make n (-1) in       (* resolved dedup-hit block, or -1 *)
+    let hit = Array.make n (-1) in       (* the page's block; -1 until resolved *)
     let slot_of = Array.make n (-1) in   (* index into the fresh extent *)
     let fresh_slots = Hashtbl.create 16 in
     let fresh_seeds = ref [] in
@@ -738,7 +779,7 @@ let put_pages t ~oid pages =
         if not t.dedup_enabled then slot_of.(i) <- miss seed
         else begin
           let hash = Content.hash (Content.of_seed seed) in
-          match Dedup.find t.dedup ~hash with
+          match Alloc.dedup_find t.alloc ~hash with
           | Some block ->
             Alloc.incref t.alloc block;
             hit.(i) <- block
@@ -761,24 +802,25 @@ let put_pages t ~oid pages =
         let block = ext.(s) in
         queue_data t block (Blockdev.Seed seed);
         if t.dedup_enabled then
-          Dedup.add t.dedup ~hash:(Content.hash (Content.of_seed seed)) ~block)
+          Alloc.dedup_add t.alloc ~hash:(Content.hash (Content.of_seed seed)) ~block)
       seeds;
     (* The first reference to a fresh block consumes the allocation's
-       refcount; intra-batch duplicates add their own. *)
+       refcount; intra-batch duplicates add their own. Every reference
+       is taken before any insert, so a page overwritten later in the
+       batch cannot free a block an earlier page still names. *)
     let extent_used = Array.make !nmiss false in
     Array.iteri
+      (fun i _ ->
+        if hit.(i) < 0 then begin
+          let s = slot_of.(i) in
+          if extent_used.(s) then Alloc.incref t.alloc ext.(s)
+          else extent_used.(s) <- true;
+          hit.(i) <- ext.(s)
+        end)
+      pages;
+    Array.iteri
       (fun i (pindex, _) ->
-        let block =
-          if hit.(i) >= 0 then hit.(i)
-          else begin
-            let s = slot_of.(i) in
-            let b = ext.(s) in
-            if extent_used.(s) then Alloc.incref t.alloc b
-            else extent_used.(s) <- true;
-            b
-          end
-        in
-        tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block))
+        tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr hit.(i)))
       pages
   end
 
@@ -791,19 +833,7 @@ let put_blob t ~oid ~index data =
      p.pv_blobs <- p.pv_blobs + 1;
      p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
    | None -> ());
-  let hash = hash_string data in
-  let block =
-    match (if t.dedup_enabled then Dedup.find t.dedup ~hash else None) with
-    | Some block ->
-      Alloc.incref t.alloc block;
-      note_dedup_saved t ~hits:1 ~bytes:(String.length data);
-      block
-    | None ->
-      let block = Alloc.alloc t.alloc in
-      queue_data t block (Blockdev.Data data);
-      if t.dedup_enabled then Dedup.add t.dedup ~hash ~block;
-      block
-  in
+  let block = content_block t (Blockdev.Data data) ~bytes:(String.length data) in
   tree_insert t (key ~oid ~kind:kind_blob ~index) (Btree.Ptr block)
 
 (* Checksum and mirror the B+tree node flush: observes the queued node
@@ -815,11 +845,11 @@ let meta_tee t writes =
       note_csum t b c;
       if t.prot.mirror then begin
         let m =
-          match Hashtbl.find_opt t.mirrors b with
+          match Alloc.mirror t.alloc b with
           | Some m -> m
           | None ->
             let m = Alloc.alloc t.alloc in
-            Hashtbl.replace t.mirrors b m;
+            Alloc.set_mirror t.alloc b m;
             m
         in
         extra := (m, c) :: !extra
@@ -847,28 +877,36 @@ let write_superblock ?(after = Duration.zero) t =
      monotone in commit order (the crash-prefix invariant). *)
   let table = encode_gentable t in
   let chunks = chunk_string table in
+  let depth =
+    List.length (index_plan t ~copies:(if t.prot.mirror then 2 else 1) (List.length chunks))
+  in
   let blocks = List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks in
   let mirror_blocks =
     if t.prot.mirror then List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks
     else []
   in
+  let top, index = index_levels t depth (List.map fst blocks) in
+  let mirror_top, mirror_index = index_levels t depth (List.map fst mirror_blocks) in
   let table_done =
     Devarray.write_async ~cls:Iosched.Deadline t.dev
-      (List.map (fun (b, chunk) -> (b, Blockdev.Data chunk)) (blocks @ mirror_blocks))
+      (List.map
+         (fun (b, chunk) -> (b, Blockdev.Data chunk))
+         (blocks @ mirror_blocks @ index @ mirror_index))
   in
   List.iter (fun b -> Alloc.decref t.alloc b) t.prev_gentable_blocks;
   List.iter (fun b -> Alloc.decref t.alloc b) t.prev_gentable_mirror_blocks;
   t.prev_gentable_blocks <- t.gentable_blocks;
   t.prev_gentable_mirror_blocks <- t.gentable_mirror_blocks;
-  t.gentable_blocks <- List.map fst blocks;
-  t.gentable_mirror_blocks <- List.map fst mirror_blocks;
+  t.gentable_blocks <- List.map fst (blocks @ index);
+  t.gentable_mirror_blocks <- List.map fst (mirror_blocks @ mirror_index);
   t.gentable_csum <- hash_string table;
   t.commit_seq <- t.commit_seq + 1;
   let slot = t.commit_seq mod superblock_slots in
   let not_before = Duration.max after (Duration.max table_done t.sb_horizon) in
+  let sb = superblock t ~depth ~table:top ~mirror:mirror_top in
   let durable_at =
     Devarray.write_async ~not_before ~cls:Iosched.Deadline t.dev
-      [ (slot, Blockdev.Data (encode_superblock t)) ]
+      [ (slot, Blockdev.Data (encode_superblock sb)) ]
   in
   (* Blocks freed since the previous superblock become reusable once
      this one is durable. *)
@@ -885,106 +923,100 @@ let write_superblock ?(after = Duration.zero) t =
 
 (* --- recovery core (shared by open, rollback and scrub) -------------- *)
 
-exception Quarantine of gen * string
+(* Every pointer under [root] in tree order: [visit ~node block] sees
+   each one and returns whether to descend into it; data pointers are
+   never descended into. A node that does not decode goes to
+   [on_error], which re-raises by default. *)
+let rec walk_tree ?(on_error = fun _ e -> raise e) t block ~visit =
+  if visit ~node:true block then
+    match Btree.view t.tree block with
+    | exception ((Serial.Corrupt _ | Fail _) as e) -> on_error block e
+    | Btree.Internal_view children ->
+      List.iter (fun c -> walk_tree ~on_error t c ~visit) children
+    | Btree.Leaf_view entries ->
+      List.iter
+        (function _, Btree.Ptr b -> ignore (visit ~node:false b) | _, Btree.Imm _ -> ())
+        entries
+
+(* Run [f] on each committed generation's root in generation order;
+   [f] raising [Fail (Unreadable_block _)] or [Serial.Corrupt] names
+   the reason to drop the generation, which [drop] receives. *)
+let iter_gens_or_drop t f ~drop =
+  List.iter
+    (fun g ->
+      match f (Hashtbl.find t.gens g).root with
+      | () -> ()
+      | exception Fail (Unreadable_block { block; cause }) ->
+        drop g (Printf.sprintf "block %d: %s" block cause)
+      | exception Serial.Corrupt msg -> drop g msg)
+    (generations t)
+
+let quarantine t g reason =
+  Hashtbl.remove t.gens g;
+  Hashtbl.remove t.provs g;
+  t.quarantined <- (g, reason) :: t.quarantined
+
+exception Restart
+
+(* The blocks of both generation-table copies (and their mirrors) the
+   superblock slots name. *)
+let table_blocks t =
+  [ t.gentable_blocks; t.prev_gentable_blocks; t.gentable_mirror_blocks;
+    t.prev_gentable_mirror_blocks ]
 
 (* Rebuild reference counts by walking every generation tree: a
    block's count is the number of edges (parent links, value pointers,
-   generation roots, table entries) that reach it. Each node's
-   outgoing edges are counted exactly once, on first visit. A
+   generation roots, table entries) that reach it. Each block's
+   outgoing edges are counted exactly once, on its first reference. A
+   pointer that names no block this store could have written is
+   corruption, found before the block table grows to cover it. A
    generation whose walk hits an unrepairable block is quarantined —
    dropped from the store and reported lost — and the walk restarts
    over the survivors. *)
 let recover_refcounts t =
+  let check_ptr b =
+    if not (valid_block t b) || Devarray.peek t.dev b = Blockdev.Zero then
+      raise (Serial.Corrupt (Printf.sprintf "pointer to block %d names no written block" b))
+  in
+  (* Re-add content addresses. Identical content may sit in several
+     blocks (record chunks are not deduped at write time), so the first
+     mapping wins. *)
+  let index_content block hash =
+    if Alloc.dedup_peek t.alloc ~hash = None then Alloc.dedup_add t.alloc ~hash ~block
+  in
+  let visit ~node block =
+    check_ptr block;
+    let first = Alloc.mark_live t.alloc block in
+    if first then begin
+      Option.iter (fun m -> ignore (Alloc.mark_live t.alloc m)) (Alloc.mirror t.alloc block);
+      if not node then
+        match verified_read t block with
+        | Blockdev.Seed s -> index_content block (Content.hash (Content.of_seed s))
+        | Blockdev.Data d -> index_content block (hash_string d)
+        | Blockdev.Zero -> ()
+    end;
+    first
+  in
   let rec attempt () =
     Alloc.reset t.alloc;
-    Dedup.reset t.dedup;
-    List.iter (Alloc.mark_live t.alloc) t.gentable_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.prev_gentable_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.gentable_mirror_blocks;
-    List.iter (Alloc.mark_live t.alloc) t.prev_gentable_mirror_blocks;
-    let visited = Hashtbl.create 4096 in
-    let mark_mirror block =
-      match Hashtbl.find_opt t.mirrors block with
-      | Some m -> Alloc.mark_live t.alloc m
-      | None -> ()
-    in
-    let rec walk block =
-      Alloc.mark_live t.alloc block;
-      if not (Hashtbl.mem visited block) then begin
-        Hashtbl.replace visited block ();
-        mark_mirror block;
-        match Btree.view t.tree block with
-        | Btree.Internal_view children -> List.iter walk children
-        | Btree.Leaf_view entries ->
-          List.iter
-            (fun (_, v) ->
-              match v with
-              | Btree.Ptr data_block ->
-                Alloc.mark_live t.alloc data_block;
-                (* Rebuild the dedup index from page blocks. *)
-                if not (Hashtbl.mem visited data_block) then begin
-                  Hashtbl.replace visited data_block ();
-                  mark_mirror data_block;
-                  (* Re-add content addresses. Identical content may sit
-                     in several blocks (record chunks are not deduped at
-                     write time), so first mapping wins. *)
-                  let add_if_absent hash =
-                    if Dedup.peek t.dedup ~hash = None then
-                      Dedup.add t.dedup ~hash ~block:data_block
-                  in
-                  match verified_read t data_block with
-                  | Blockdev.Seed s -> add_if_absent (Content.hash (Content.of_seed s))
-                  | Blockdev.Data d -> add_if_absent (hash_string d)
-                  | Blockdev.Zero -> ()
-                end
-              | Btree.Imm _ -> ())
-            entries
-      end
-    in
-    let gens_sorted =
-      Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.gens []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
     match
-      List.iter
-        (fun (g, e) ->
-          try walk e.root with
-          | Fail (Unreadable_block { block; cause }) ->
-            raise (Quarantine (g, Printf.sprintf "block %d: %s" block cause))
-          | Serial.Corrupt msg -> raise (Quarantine (g, msg)))
-        gens_sorted
+      iter_gens_or_drop t (walk_tree t ~visit) ~drop:(fun g reason ->
+          quarantine t g reason;
+          raise Restart)
     with
-    | () -> ()
-    | exception Quarantine (g, reason) ->
-      Hashtbl.remove t.gens g;
-      Hashtbl.remove t.provs g;
-      t.quarantined <- (g, reason) :: t.quarantined;
-      attempt ()
+    | () ->
+      List.iter (List.iter (fun b -> ignore (Alloc.mark_live t.alloc b))) (table_blocks t)
+    | exception Restart -> attempt ()
   in
   attempt ()
-
-(* After a rebuild, drop integrity records of blocks that did not
-   survive ([Alloc.reset] does not fire the free hooks). *)
-let prune_protection t =
-  let dead_csums =
-    Hashtbl.fold
-      (fun b _ acc -> if Alloc.refcount t.alloc b = 0 then b :: acc else acc)
-      t.csums []
-  in
-  List.iter (Hashtbl.remove t.csums) dead_csums;
-  let dead_mirrors =
-    Hashtbl.fold
-      (fun b _ acc -> if Alloc.refcount t.alloc b = 0 then b :: acc else acc)
-      t.mirrors []
-  in
-  List.iter (Hashtbl.remove t.mirrors) dead_mirrors
 
 let rebuild t =
   (* Cached nodes may describe state the device never saw (dirty nodes
      of an aborted generation); recovery trusts only the device. *)
   Btree.reset_cache t.tree;
   recover_refcounts t;
-  prune_protection t;
+  (* Drop checksums and mirrors of blocks that did not survive. *)
+  Alloc.prune t.alloc;
   (* Deferred frees still gated by an in-flight superblock are
      quarantined rather than released: an older superblock referencing
      them could still win a post-crash recovery. They leak as holes
@@ -1039,8 +1071,9 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   (match prov with
    | Some p ->
      let chunks = List.length (chunk_string (encode_gentable t)) in
-     p.pv_commit_blocks <-
-       1 (* superblock *) + (chunks * if t.prot.mirror then 2 else 1)
+     let copies = if t.prot.mirror then 2 else 1 in
+     let index = List.fold_left ( + ) 0 (index_plan t ~copies chunks) in
+     p.pv_commit_blocks <- 1 (* superblock *) + (copies * (chunks + index))
    | None -> ());
   let after = Devarray.group_completion (Devarray.end_group t.dev) in
   let durable_at = write_superblock ~after t in
@@ -1090,11 +1123,7 @@ let abort_generation t =
        dedup and protection state from the committed generations —
        robust even when the abort was triggered halfway through an
        allocation failure. *)
-    Hashtbl.remove t.provs g;
-    t.open_gen <- None;
-    t.pending_pages <- [];
-    Devarray.discard_group t.dev;
-    rebuild t
+    rollback t g
 
 let wait_durable t at = Devarray.await t.dev at
 
@@ -1165,6 +1194,17 @@ let read_page t g ~oid ~pindex =
     | Some (Btree.Ptr block) -> Some (page_of_content block (verified_read t block))
     | Some (Btree.Imm _) | None -> None)
 
+(* A payload fetched without retry or repair (batch DMA, where a latent
+   sector comes back [Zero]; a clock-free peek): the checksum catches a
+   substitution or silent corruption, and the single-block verified
+   path re-reads and repairs. *)
+let checked_content t block content =
+  match Alloc.checksum t.alloc block with
+  | Some h when checksum_content content <> h ->
+    t.io.checksum_failures <- t.io.checksum_failures + 1;
+    verified_read t block
+  | _ -> content
+
 let read_pages_batch t g ~oid ~pindexes =
   match gen_root t g with
   | None -> [||]
@@ -1189,21 +1229,7 @@ let read_pages_batch t g ~oid ~pindexes =
     let m = !m in
     let contents = Devarray.read_many_arr ~cls:t.read_cls t.dev (Array.sub blocks 0 m) in
     Array.init m (fun i ->
-        let block = blocks.(i) in
-        (* Batch reads are best-effort DMA: a latent sector comes back
-           [Zero]. The checksum catches the substitution (and any
-           silent corruption) and the single-block verified path
-           re-reads and repairs. *)
-        let content =
-          match
-            (if t.prot.verify then Hashtbl.find_opt t.csums block else None)
-          with
-          | Some h when checksum_content contents.(i) <> h ->
-            t.io.checksum_failures <- t.io.checksum_failures + 1;
-            verified_read t block
-          | _ -> contents.(i)
-        in
-        (found.(i), page_of_content block content))
+        (found.(i), page_of_content blocks.(i) (checked_content t blocks.(i) contents.(i))))
 
 let peek_page t g ~oid ~pindex =
   match gen_root t g with
@@ -1211,61 +1237,33 @@ let peek_page t g ~oid ~pindex =
   | Some root -> (
     match Btree.find t.tree ~root (key ~oid ~kind:kind_page ~index:pindex) with
     | Some (Btree.Ptr block) ->
-      let content = Devarray.peek t.dev block in
-      let content =
-        match (if t.prot.verify then Hashtbl.find_opt t.csums block else None) with
-        | Some h when checksum_content content <> h ->
-          t.io.checksum_failures <- t.io.checksum_failures + 1;
-          verified_read t block
-        | _ -> content
-      in
-      Some (page_of_content block content)
+      Some (page_of_content block (checked_content t block (Devarray.peek t.dev block)))
     | Some (Btree.Imm _) | None -> None)
 
-let fold_page_indexes t g ~oid ~init ~f =
+(* Fold over an object's block pointers of one kind, in index order. *)
+let fold_kind t g ~oid ~kind ~init ~f =
   match gen_root t g with
   | None -> init
   | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
+    let lo = key ~oid ~kind ~index:0 in
+    Btree.fold_range t.tree ~root ~lo ~hi:(Int64.add lo 0xFFFF_FFFFL) ~init
+      ~f:(fun acc k v ->
         match v with
-        | Btree.Ptr _ -> f acc (Int64.to_int (Int64.logand k 0xFFFF_FFFFL))
+        | Btree.Ptr block -> f acc (Int64.to_int (Int64.logand k 0xFFFF_FFFFL)) block
         | Btree.Imm _ -> acc)
+
+let fold_page_indexes t g ~oid ~init ~f =
+  fold_kind t g ~oid ~kind:kind_page ~init ~f:(fun acc i _ -> f acc i)
 
 let fold_pages t g ~oid ~init ~f =
-  match gen_root t g with
-  | None -> init
-  | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
-        match v with
-        | Btree.Ptr block ->
-          let pindex = Int64.to_int (Int64.logand k 0xFFFF_FFFFL) in
-          f acc pindex (page_of_content block (verified_read t block))
-        | Btree.Imm _ -> acc)
+  fold_kind t g ~oid ~kind:kind_page ~init ~f:(fun acc i block ->
+      f acc i (page_of_content block (verified_read t block)))
 
 let fold_blobs t g ~oid ~init ~f =
-  match gen_root t g with
-  | None -> init
-  | Some root ->
-    let lo = key ~oid ~kind:kind_blob ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init ~f:(fun acc k v ->
-        match v with
-        | Btree.Ptr block ->
-          f acc (Int64.to_int (Int64.logand k 0xFFFF_FFFFL)) (read_block_data t block)
-        | Btree.Imm _ -> acc)
+  fold_kind t g ~oid ~kind:kind_blob ~init ~f:(fun acc i block ->
+      f acc i (read_block_data t block))
 
-let page_count t g ~oid =
-  match gen_root t g with
-  | None -> 0
-  | Some root ->
-    let lo = key ~oid ~kind:kind_page ~index:0 in
-    let hi = Int64.add lo 0xFFFF_FFFFL in
-    Btree.fold_range t.tree ~root ~lo ~hi ~init:0 ~f:(fun acc _ v ->
-        match v with Btree.Ptr _ -> acc + 1 | Btree.Imm _ -> acc)
+let page_count t g ~oid = fold_kind t g ~oid ~kind:kind_page ~init:0 ~f:(fun n _ _ -> n + 1)
 
 let oids t g =
   match gen_root t g with
@@ -1278,12 +1276,6 @@ let oids t g =
     |> List.rev
 
 (* --- generations ----------------------------------------------------- *)
-
-let generations t =
-  Hashtbl.fold (fun g _ acc -> g :: acc) t.gens [] |> List.sort Int.compare
-
-let latest t =
-  match generations t with [] -> None | gens -> Some (List.nth gens (List.length gens - 1))
 
 let named t =
   Hashtbl.fold
@@ -1357,16 +1349,16 @@ let open_ ~dev =
     t.prot <- { verify = sb.sb_verify; mirror = sb.sb_mirror };
     t.commit_seq <- sb.sb_seq;
     t.next_gen <- sb.sb_next_gen;
-    t.gentable_blocks <- sb.sb_table;
-    t.gentable_mirror_blocks <- sb.sb_table_mirror;
     t.gentable_csum <- sb.sb_table_csum;
     (* A store that never committed a generation has no table. *)
     if sb.sb_table = [] then Ok t
     else begin
       let read_chunk b =
-        match device_read_retry t b 0 with
-        | Ok (Blockdev.Data s) -> Some s
-        | Ok _ | Error _ -> None
+        if not (valid_block t b) then None
+        else
+          match device_read_retry t b 0 with
+          | Ok (Blockdev.Data s) -> Some s
+          | Ok _ | Error _ -> None
       in
       let read_table blocks =
         let rec go acc = function
@@ -1378,39 +1370,47 @@ let open_ ~dev =
         in
         go [] blocks
       in
-      let checked blocks =
-        match read_table blocks with
-        | Some s when hash_string s = sb.sb_table_csum -> Some s
-        | Some _ | None -> None
+      let primary = resolve_index read_table sb.sb_depth sb.sb_table in
+      let mirror = resolve_index read_table sb.sb_depth sb.sb_table_mirror in
+      (* Each copy keeps every block it occupies, index levels included. *)
+      let owned named = function
+        | Some (leaves, index) -> leaves @ index
+        | None -> named
+      in
+      t.gentable_blocks <- owned sb.sb_table primary;
+      t.gentable_mirror_blocks <- owned sb.sb_table_mirror mirror;
+      let checked = function
+        | Some (leaves, _) -> (
+          match read_table leaves with
+          | Some s when hash_string s = sb.sb_table_csum -> Some s
+          | Some _ | None -> None)
+        | None -> None
       in
       let table =
-        match checked sb.sb_table with
+        match checked primary with
         | Some s -> Some s
         | None -> (
-          match checked sb.sb_table_mirror with
+          match checked mirror with
           | Some s ->
             (* The mirror survived; heal the primary copy in place. *)
+            let leaves = match primary with Some (l, _) -> l | None -> [] in
             (try
                List.iter2
                  (fun b c -> Devarray.write t.dev b (Blockdev.Data c))
-                 sb.sb_table (chunk_string s)
+                 leaves (chunk_string s)
              with Fault.Io_error _ | Invalid_argument _ -> ());
-            t.repair_log <-
-              List.map (fun b -> (b, Mirror)) sb.sb_table @ t.repair_log;
-            t.io.repaired_from_mirror <-
-              t.io.repaired_from_mirror + List.length sb.sb_table;
+            t.repair_log <- List.map (fun b -> (b, Mirror)) leaves @ t.repair_log;
+            t.io.repaired_from_mirror <- t.io.repaired_from_mirror + List.length leaves;
             Some s
           | None -> None)
       in
       match table with
       | None -> Error (Bad_generation_table "table unreadable in every copy")
       | Some data -> (
-        match decode_gentable ~verify:t.prot.verify ~mirror:t.prot.mirror data with
+        match decode_gentable t data with
         | exception Serial.Corrupt msg -> Error (Bad_generation_table msg)
-        | entries, csums, mirrors, provs ->
+        | entries, provs ->
           List.iter (fun (g, e) -> Hashtbl.replace t.gens g e) entries;
-          List.iter (fun (b, c) -> Hashtbl.replace t.csums b c) csums;
-          List.iter (fun (b, m) -> Hashtbl.replace t.mirrors b m) mirrors;
           List.iter (fun p -> Hashtbl.replace t.provs p.pv_gen p) provs;
           Ok t)
     end
@@ -1448,14 +1448,14 @@ type stats = {
 let stats t =
   {
     live_blocks = Alloc.live_blocks t.alloc;
-    dedup_entries = Dedup.entries t.dedup;
-    dedup_hits = Dedup.hits t.dedup;
-    dedup_misses = Dedup.misses t.dedup;
-    dedup_bytes_saved = Dedup.bytes_saved t.dedup;
+    dedup_entries = Alloc.dedup_entries t.alloc;
+    dedup_hits = Alloc.dedup_hits t.alloc;
+    dedup_misses = Alloc.dedup_misses t.alloc;
+    dedup_bytes_saved = Alloc.dedup_bytes_saved t.alloc;
     committed_generations = Hashtbl.length t.gens;
   }
 
-let capacity_blocks t = Alloc.capacity_blocks t.alloc
+let capacity_blocks t = Devarray.capacity_blocks t.dev
 
 (* --- provenance inspection ------------------------------------------- *)
 
@@ -1468,21 +1468,10 @@ let gen_provenance t g = Hashtbl.find_opt t.provs g
 let reachable_blocks t root =
   let meta = Hashtbl.create 256 in
   let data = Hashtbl.create 1024 in
-  let rec walk block =
-    if not (Hashtbl.mem meta block) then begin
-      Hashtbl.replace meta block ();
-      match Btree.view t.tree block with
-      | Btree.Internal_view children -> List.iter walk children
-      | Btree.Leaf_view entries ->
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Btree.Ptr b -> Hashtbl.replace data b ()
-            | Btree.Imm _ -> ())
-          entries
-    end
-  in
-  walk root;
+  walk_tree t root ~visit:(fun ~node b ->
+      if not node then (Hashtbl.replace data b (); false)
+      else if Hashtbl.mem meta b then false
+      else (Hashtbl.replace meta b (); true));
   (meta, data)
 
 let kind_of_key k = Int64.to_int (Int64.rem (Int64.div k 0x1_0000_0000L) 4L)
@@ -1523,7 +1512,7 @@ let gen_report t g =
         | _ -> ());
     let mirror_count set =
       Hashtbl.fold
-        (fun b () acc -> if Hashtbl.mem t.mirrors b then acc + 1 else acc)
+        (fun b () acc -> if Alloc.mirror t.alloc b <> None then acc + 1 else acc)
         set 0
     in
     (* Blocks also reachable from any other committed generation are
@@ -1573,10 +1562,7 @@ let crosscheck t =
   require_closed t;
   let seen = Hashtbl.create 4096 in
   let add b = Hashtbl.replace seen b () in
-  List.iter add t.gentable_blocks;
-  List.iter add t.prev_gentable_blocks;
-  List.iter add t.gentable_mirror_blocks;
-  List.iter add t.prev_gentable_mirror_blocks;
+  List.iter (List.iter add) (table_blocks t);
   Hashtbl.iter
     (fun _ e ->
       let m, d = reachable_blocks t e.root in
@@ -1584,9 +1570,7 @@ let crosscheck t =
         Hashtbl.iter
           (fun b () ->
             add b;
-            match Hashtbl.find_opt t.mirrors b with
-            | Some mb -> add mb
-            | None -> ())
+            Option.iter add (Alloc.mirror t.alloc b))
           tbl
       in
       with_mirrors m;
@@ -1728,8 +1712,6 @@ type fsck_report = {
 
 let fsck_ok r = r.problems = [] && r.lost = []
 
-exception Bad_gen of string
-
 let scrub_pass t scanned =
   (* Read every reachable block through the verifying, self-repairing
      path with cold caches, so latent sectors and rotted content are
@@ -1743,47 +1725,18 @@ let scrub_pass t scanned =
   let dropped = ref false in
   let scrub_gen root =
     let visited = Hashtbl.create 256 in
-    let rec walk block =
-      if not (Hashtbl.mem visited block) then begin
-        Hashtbl.replace visited block ();
-        incr scanned;
-        match Btree.view t.tree block with
-        | exception Fail (Unreadable_block { block; cause }) ->
-          raise (Bad_gen (Printf.sprintf "block %d: %s" block cause))
-        | exception Serial.Corrupt msg -> raise (Bad_gen msg)
-        | Btree.Internal_view children -> List.iter walk children
-        | Btree.Leaf_view entries ->
-          List.iter
-            (fun (_, v) ->
-              match v with
-              | Btree.Ptr b ->
-                if not (Hashtbl.mem visited b) then begin
-                  Hashtbl.replace visited b ();
-                  incr scanned;
-                  match verified_read t b with
-                  | _ -> ()
-                  | exception Fail (Unreadable_block { block; cause }) ->
-                    raise (Bad_gen (Printf.sprintf "block %d: %s" block cause))
-                end
-              | Btree.Imm _ -> ())
-            entries
-      end
-    in
-    walk root
+    walk_tree t root ~visit:(fun ~node b ->
+        let first = not (Hashtbl.mem visited b) in
+        if first then begin
+          Hashtbl.replace visited b ();
+          incr scanned;
+          if not node then ignore (verified_read t b)
+        end;
+        first)
   in
-  let gens_sorted =
-    Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.gens []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  List.iter
-    (fun (g, e) ->
-      try scrub_gen e.root
-      with Bad_gen reason ->
-        Hashtbl.remove t.gens g;
-        Hashtbl.remove t.provs g;
-        t.quarantined <- (g, reason) :: t.quarantined;
-        dropped := true)
-    gens_sorted;
+  iter_gens_or_drop t scrub_gen ~drop:(fun g reason ->
+      quarantine t g reason;
+      dropped := true);
   if !dropped then begin
     (* Losing a generation frees blocks; recompute counts and persist
        the shrunken table so the loss is visible after the next open. *)
@@ -1801,40 +1754,32 @@ let fsck ?(scrub = false) t =
      value pointers, generation-table blocks, mirror-table entries). *)
   let edges : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let edge b = Hashtbl.replace edges b (1 + Option.value ~default:0 (Hashtbl.find_opt edges b)) in
-  List.iter edge t.gentable_blocks;
-  List.iter edge t.prev_gentable_blocks;
-  List.iter edge t.gentable_mirror_blocks;
-  List.iter edge t.prev_gentable_mirror_blocks;
-  Hashtbl.iter
-    (fun primary m ->
+  List.iter (List.iter edge) (table_blocks t);
+  Alloc.iter_mirrors t.alloc (fun primary m ->
       edge m;
       if Alloc.refcount t.alloc m = 0 then
-        problem "mirror %d of block %d is unallocated" m primary)
-    t.mirrors;
+        problem "mirror %d of block %d is unallocated" m primary);
   let visited = Hashtbl.create 4096 in
-  let rec walk block =
+  let visit ~node block =
     edge block;
-    if not (Hashtbl.mem visited block) then begin
+    let unallocated = Alloc.refcount t.alloc block = 0 in
+    if not node then begin
+      if unallocated then problem "data block %d is unallocated" block;
+      false
+    end
+    else if Hashtbl.mem visited block then false
+    else begin
       Hashtbl.replace visited block ();
-      if Alloc.refcount t.alloc block = 0 then
-        problem "reachable block %d is unallocated" block;
-      match Btree.view t.tree block with
-      | exception Serial.Corrupt msg -> problem "node %d corrupt: %s" block msg
-      | exception Fail e -> problem "node %d: %s" block (describe_error e)
-      | Btree.Internal_view children -> List.iter walk children
-      | Btree.Leaf_view entries ->
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Btree.Ptr data_block ->
-              edge data_block;
-              if Alloc.refcount t.alloc data_block = 0 then
-                problem "data block %d is unallocated" data_block
-            | Btree.Imm _ -> ())
-          entries
+      if unallocated then problem "reachable block %d is unallocated" block;
+      true
     end
   in
-  Hashtbl.iter (fun _ e -> walk e.root) t.gens;
+  let on_error block = function
+    | Serial.Corrupt msg -> problem "node %d corrupt: %s" block msg
+    | Fail e -> problem "node %d: %s" block (describe_error e)
+    | e -> raise e
+  in
+  Hashtbl.iter (fun _ e -> walk_tree ~on_error t e.root ~visit) t.gens;
   (* Reference counts must equal reachable edges. *)
   Hashtbl.iter
     (fun block n ->

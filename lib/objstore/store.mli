@@ -84,9 +84,10 @@ val format : ?dedup:bool -> ?protection:protection -> dev:Devarray.t -> unit -> 
 val open_ : dev:Devarray.t -> (t, error) result
 (** Recover from the newest valid superblock: re-reads the generation
     table (falling back to, and healing from, its mirror), walks every
-    generation's tree to rebuild reference counts and the
-    deduplication index, and quarantines generations with unrepairable
-    blocks (reported by the next {!fsck}). Device reads are charged to
+    generation's tree to rebuild the block table and the deduplication
+    index, and quarantines generations with unrepairable blocks or
+    block pointers that name no written block (reported by the next
+    {!fsck}). Device reads are charged to
     the simulated clock (recovery is not free). *)
 
 val open_exn : dev:Devarray.t -> t

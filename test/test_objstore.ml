@@ -44,10 +44,8 @@ let test_alloc_refcounting () =
   Alloc.incref a b;
   Alloc.decref a b;
   check_int "still live" 1 (Alloc.refcount a b);
-  let freed = ref [] in
-  Alloc.add_on_free a (fun blk -> freed := blk :: !freed);
   Alloc.decref a b;
-  Alcotest.(check (list int)) "hook fired" [ b ] !freed;
+  check_int "freed" 0 (Alloc.refcount a b);
   check_bool "double free rejected" true
     (try
        Alloc.decref a b;
@@ -925,6 +923,480 @@ let test_store_fault_storm_crash_recover_bitexact () =
     model;
   check_int "all six generations" 6 (List.length (Store.generations s'))
 
+(* ------------------------------------------------------------------ *)
+(* Per-block state                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_store_freed_block_state () =
+  (* A block freed by gc takes its checksum, mirror and dedup entry
+     with it: re-putting the same content is a dedup miss that lands
+     in a block verifying against its own fresh checksum and mirror. *)
+  let _, dev = mkdev () in
+  let s = Store.format ~protection:full_protection ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_page s ~oid:1 ~pindex:0 ~seed:4242L;
+  Store.put_page s ~oid:1 ~pindex:1 ~seed:5151L;
+  let g1, d1 = Store.commit s () in
+  Store.wait_durable s d1;
+  ignore (Store.begin_generation s ~base:g1 ());
+  Store.put_page s ~oid:1 ~pindex:0 ~seed:7L;
+  let g2, d2 = Store.commit s () in
+  Store.wait_durable s d2;
+  ignore (Store.gc s ~keep:[ g2 ]);
+  Store.wait_all_durable s;
+  let misses = (Store.stats s).Store.dedup_misses in
+  ignore (Store.begin_generation s ());
+  Store.put_page s ~oid:2 ~pindex:0 ~seed:4242L;
+  let g3, d3 = Store.commit s () in
+  Store.wait_durable s d3;
+  check_int "re-put after free is a dedup miss" (misses + 1)
+    (Store.stats s).Store.dedup_misses;
+  (match Store.gen_report s g3 with
+   | Some r ->
+     check_int "one mirror per reachable block"
+       (r.Store.r_meta_blocks + r.Store.r_data_blocks) r.Store.r_mirror_blocks
+   | None -> Alcotest.fail "g3 missing");
+  Store.drop_caches s;
+  Alcotest.(check (option int64)) "fresh block reads back" (Some 4242L)
+    (Store.read_page s g3 ~oid:2 ~pindex:0);
+  check_int "no stale checksum" 0 (Store.io_stats s).Store.checksum_failures;
+  (* The fresh mirror is the one repair uses. The device still holds
+     the freed copies too, so rot each copy in turn: only rotting the
+     live primary needs (and gets) a repair. *)
+  let n = Devarray.used_blocks dev in
+  List.iter
+    (fun b ->
+      if Devarray.peek dev b = Blockdev.Seed 4242L then begin
+        Devarray.write dev b (Blockdev.Seed 1L);
+        Store.drop_caches s;
+        Alcotest.(check (option int64)) "read survives a rotted copy" (Some 4242L)
+          (Store.read_page s g3 ~oid:2 ~pindex:0);
+        Devarray.write dev b (Blockdev.Seed 4242L)
+      end)
+    (List.init (n + 16) Fun.id);
+  check_int "one mirror repair" 1 (Store.io_stats s).Store.repaired_from_mirror;
+  check_bool "crosscheck exact" true
+    (let x = Store.crosscheck s in
+     x.Store.x_reachable_blocks = x.Store.x_live_blocks);
+  expect_clean_fsck "fsck after free and re-put" s
+
+let test_store_put_pages_repeated_index () =
+  (* A batch may name the same page twice; it applies in order, like
+     repeated put_page calls, even when an overwritten page's fresh
+     block is named again later in the batch. *)
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  let g = Store.begin_generation s () in
+  Store.put_pages s ~oid:1 [| (3, 10L); (3, 11L); (4, 10L); (5, 11L); (5, 12L) |];
+  let _, d = Store.commit s () in
+  Store.wait_durable s d;
+  List.iter
+    (fun (i, seed) ->
+      Alcotest.(check (option int64)) (Printf.sprintf "page %d" i) (Some seed)
+        (Store.read_page s g ~oid:1 ~pindex:i))
+    [ (3, 11L); (4, 10L); (5, 12L) ];
+  expect_clean_fsck "fsck after a batch with repeated indexes" s
+
+(* A protected store's generation table carries a checksum (and a
+   mirror entry) per block, so its block list outgrows a single
+   superblock long before the device fills up. *)
+let test_store_large_protected_commit () =
+  let _, dev = mkdev () in
+  let s = Store.format ~protection:full_protection ~dev () in
+  let n = 40_000 in
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init n (fun i -> (i, Int64.of_int (1_000_000 + i))));
+  Store.put_record s ~oid:1 "large image";
+  let g, d = Store.commit s () in
+  Store.wait_durable s d;
+  (* A second commit rewrites the table and frees the first copy. *)
+  ignore (Store.begin_generation s ());
+  Store.put_page s ~oid:1 ~pindex:0 ~seed:9L;
+  let g2, d2 = Store.commit s () in
+  Store.wait_durable s d2;
+  let x = Store.crosscheck s in
+  check_int "every live block accounted for" x.Store.x_live_blocks
+    x.Store.x_reachable_blocks;
+  expect_clean_fsck "fsck before the crash" s;
+  Devarray.crash dev;
+  let s' = Store.open_exn ~dev in
+  Alcotest.(check (list int)) "both generations recovered" [ g; g2 ]
+    (Store.generations s');
+  let pages = Store.read_pages_batch s' g ~oid:1 ~pindexes:(Array.init n Fun.id) in
+  check_int "every page recovered" n (Array.length pages);
+  Array.iter
+    (fun (i, seed) ->
+      if seed <> Int64.of_int (1_000_000 + i) then
+        Alcotest.failf "page %d read back %Ld" i seed)
+    pages;
+  Alcotest.(check (option int64)) "second generation" (Some 9L)
+    (Store.read_page s' g2 ~oid:1 ~pindex:0);
+  Alcotest.(check (option string)) "record" (Some "large image")
+    (Store.read_record s' g ~oid:1);
+  expect_clean_fsck "fsck after reopening a large protected store" s';
+  (* The reopened store keeps committing. *)
+  ignore (Store.begin_generation s' ());
+  Store.put_page s' ~oid:1 ~pindex:1 ~seed:10L;
+  let _, d3 = Store.commit s' () in
+  Store.wait_durable s' d3;
+  expect_clean_fsck "fsck after a commit on the reopened store" s'
+
+(* Hand-encode B+tree nodes in the on-disk format (tag byte, then
+   Serial lists) to plant a bad pointer under a committed root. *)
+let leaf_bytes entries =
+  let open Aurora_posix in
+  let w = Serial.writer () in
+  Serial.w_u8 w 0;
+  Serial.w_list w
+    (fun w (k, b) ->
+      Serial.w_int64 w k;
+      Serial.w_u8 w 1;
+      Serial.w_int w b)
+    entries;
+  Serial.contents w
+
+let internal_bytes children =
+  let open Aurora_posix in
+  let w = Serial.writer () in
+  Serial.w_u8 w 1;
+  Serial.w_list w Serial.w_int64 [];
+  Serial.w_list w Serial.w_int children;
+  Serial.contents w
+
+let test_store_bad_pointer_quarantined () =
+  let page_key = Int64.add 0x4_0000_0000L 0x2_0000_0000L (* oid 1, page 0 *) in
+  let case name ?capacity_blocks plant =
+    let clock = Clock.create () in
+    let dev = Devarray.create ?capacity_blocks ~clock ~profile:Profile.optane_900p "ptr" in
+    let s = Store.format ~dev () in
+    ignore (Store.begin_generation s ());
+    Store.put_record s ~oid:2 "survivor";
+    let g1, d1 = Store.commit s () in
+    Store.wait_durable s d1;
+    ignore (Store.begin_generation s ~base:g1 ());
+    Store.put_page s ~oid:1 ~pindex:0 ~seed:31337L;
+    let g2, d2 = Store.commit s () in
+    Store.wait_durable s d2;
+    (* g2's tree is one leaf: the record's entries plus the page. *)
+    let page = find_block dev ~seed:31337L in
+    let n = Devarray.used_blocks dev in
+    (* Leaf layout: tag byte, entry count, then (key, tag, block)
+       entries; the page's entry sorts first. *)
+    let entry = String.sub (leaf_bytes [ (page_key, page) ]) 9 17 in
+    let holds_ptr b =
+      match Devarray.peek dev b with
+      | Blockdev.Data d ->
+        String.length d >= 26 && d.[0] = '\000' && String.sub d 9 17 = entry
+      | Blockdev.Seed _ | Blockdev.Zero -> false
+    in
+    let root =
+      let rec go b =
+        if b >= n + 16 then Alcotest.failf "%s: root leaf not found" name
+        else if holds_ptr b then b
+        else go (b + 1)
+      in
+      go 4
+    in
+    Devarray.write dev root (Blockdev.Data (plant page_key));
+    Devarray.crash dev;
+    match Store.open_ ~dev with
+    | Error e -> Alcotest.failf "%s: open failed: %s" name (Store.describe_error e)
+    | Ok s' ->
+      Alcotest.(check (list int)) (name ^ ": bad generation quarantined") [ g1 ]
+        (Store.generations s');
+      Alcotest.(check (option string)) (name ^ ": older generation serves")
+        (Some "survivor") (Store.read_record s' g1 ~oid:2);
+      let r = Store.fsck s' in
+      check_bool (name ^ ": loss reported") true
+        (List.exists (fun (g, _) -> g = g2) r.Store.lost);
+      check_bool (name ^ ": no structural problems") true (r.Store.problems = []);
+      (* The store keeps allocating normally afterwards. *)
+      ignore (Store.begin_generation s' ());
+      Store.put_page s' ~oid:1 ~pindex:0 ~seed:5L;
+      let g3, d3 = Store.commit s' () in
+      Store.wait_durable s' d3;
+      Alcotest.(check (option int64)) (name ^ ": new commit") (Some 5L)
+        (Store.read_page s' g3 ~oid:1 ~pindex:0);
+      expect_clean_fsck (name ^ ": fsck after new commit") s'
+  in
+  case "negative data pointer" (fun k -> leaf_bytes [ (k, -5) ]);
+  case "reserved data pointer" (fun k -> leaf_bytes [ (k, 1) ]);
+  case "data pointer past capacity" ~capacity_blocks:4096 (fun k ->
+      leaf_bytes [ (k, 1_000_000) ]);
+  case "data pointer past every written block" (fun k -> leaf_bytes [ (k, 1 lsl 40) ]);
+  case "negative child" (fun _ -> internal_bytes [ -1 ]);
+  case "reserved child" (fun _ -> internal_bytes [ 0 ]);
+  case "child past capacity" ~capacity_blocks:4096 (fun _ -> internal_bytes [ 5000 ])
+
+(* ------------------------------------------------------------------ *)
+(* Model: random operation sequences under every protection mode       *)
+(* ------------------------------------------------------------------ *)
+
+type model_op =
+  | M_page of int * int          (* pindex, seed choice *)
+  | M_pages of (int * int) list
+  | M_blob of int * int          (* index, content choice *)
+  | M_record of int              (* length *)
+  | M_commit
+  | M_abort
+  | M_gc of int                  (* keep the newest n *)
+  | M_crash
+
+let pp_model_op = function
+  | M_page (i, s) -> Printf.sprintf "page(%d,%d)" i s
+  | M_pages ps -> Printf.sprintf "pages(%d)" (List.length ps)
+  | M_blob (i, c) -> Printf.sprintf "blob(%d,%d)" i c
+  | M_record n -> Printf.sprintf "record(%d)" n
+  | M_commit -> "commit"
+  | M_abort -> "abort"
+  | M_gc n -> Printf.sprintf "gc(keep %d)" n
+  | M_crash -> "crash+open"
+
+let model_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map2 (fun i s -> M_page (i, s)) (int_bound 15) (int_bound 7));
+      (* Distinct page indexes per batch, as the checkpoint flush
+         issues them; seeds repeat, so batches carry duplicates. *)
+      (2, map (fun ps -> M_pages (List.sort_uniq (fun (a, _) (b, _) -> compare a b) ps))
+           (list_size (int_range 1 12) (pair (int_bound 15) (int_bound 7))));
+      (2, map2 (fun i c -> M_blob (i, c)) (int_bound 3) (int_bound 3));
+      (2, map (fun n -> M_record n) (int_bound 10_000));
+      (4, return M_commit);
+      (1, return M_abort);
+      (2, map (fun n -> M_gc (1 + n)) (int_bound 3));
+      (1, return M_crash);
+    ]
+
+(* Contents a generation should read back. Record contents are unique
+   per put (every chunk carries the put's serial number), so no two
+   record chunks ever share a content hash. *)
+type model_gen = {
+  m_pages : (int * int64) list;
+  m_blobs : (int * string) list;
+  m_record : (int * int) option; (* serial, length *)
+}
+
+let empty_model_gen = { m_pages = []; m_blobs = []; m_record = None }
+let model_seed s = Int64.of_int (7_000 + s)
+let model_blob c = Printf.sprintf "blob-content-%d" c
+
+let model_record (serial, len) =
+  String.init len (fun i ->
+      let chunk = i / Blockdev.block_size in
+      let tag = Printf.sprintf "<%d/%d>" serial chunk in
+      let off = i mod Blockdev.block_size in
+      if off < String.length tag then tag.[off] else Char.chr (97 + ((i + serial) mod 26)))
+
+let record_chunks (_, len) = (len + Blockdev.block_size - 1) / Blockdev.block_size
+
+let copy_device (dev : Devarray.t) : Devarray.t =
+  Marshal.from_string (Marshal.to_string dev []) 0
+
+let prop_store_model protection =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "store model (verify=%b mirror=%b)" protection.Store.verify
+         protection.Store.mirror)
+    ~count:25
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_model_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) model_op_gen))
+    (fun ops ->
+      let _, dev = mkdev ~stripes:2 () in
+      let store = ref (Store.format ~protection ~dev ()) in
+      let committed : (int, model_gen) Hashtbl.t = Hashtbl.create 16 in
+      let open_gen = ref None in
+      let serial = ref 0 in
+      (* Record puts the running store last indexed by content: a
+         recovery walk indexes every live data block, while writes
+         index only page and blob content. *)
+      let indexed = ref [] in
+      let reindex () =
+        indexed :=
+          List.filter_map
+            (fun g -> (Hashtbl.find committed g).m_record)
+            (Store.generations !store)
+      in
+      let current () =
+        match !open_gen with
+        | Some m -> m
+        | None ->
+          ignore (Store.begin_generation !store ());
+          let base =
+            match Store.latest !store with
+            | Some g -> Hashtbl.find committed g
+            | None -> empty_model_gen
+          in
+          open_gen := Some base;
+          base
+      in
+      let set m = open_gen := Some m in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let reads_back what s =
+        List.iter
+          (fun g ->
+            match Hashtbl.find_opt committed g with
+            | None -> fail "%s: unknown generation %d survived" what g
+            | Some m ->
+              List.iter
+                (fun (i, seed) ->
+                  if Store.read_page s g ~oid:1 ~pindex:i <> Some seed then
+                    fail "%s: gen %d page %d diverged" what g i)
+                m.m_pages;
+              if Store.page_count s g ~oid:1 <> List.length m.m_pages then
+                fail "%s: gen %d page count" what g;
+              List.iter
+                (fun (i, data) ->
+                  if Store.read_blob s g ~oid:3 ~index:i <> Some data then
+                    fail "%s: gen %d blob %d diverged" what g i)
+                m.m_blobs;
+              if Store.read_record s g ~oid:2 <> Option.map model_record m.m_record
+              then fail "%s: gen %d record diverged" what g)
+          (Store.generations s)
+      in
+      let distinct xs = List.length (List.sort_uniq compare xs) in
+      let check_all () =
+        let s = !store in
+        let r = Store.fsck s in
+        if not (Store.fsck_ok r) then
+          fail "fsck: %s" (String.concat "; " (fsck_problems r));
+        let x = Store.crosscheck s in
+        if x.Store.x_reachable_blocks <> x.Store.x_live_blocks then
+          fail "crosscheck: %d reachable vs %d live" x.Store.x_reachable_blocks
+            x.Store.x_live_blocks;
+        reads_back "running" s;
+        (* A fresh recovery from a copy of the device rebuilds the same
+           block table. *)
+        Store.wait_all_durable s;
+        let fresh = Store.open_exn ~dev:(copy_device dev) in
+        reads_back "reopened" fresh;
+        if Store.generations fresh <> Store.generations s then
+          fail "reopened generations differ";
+        let xf = Store.crosscheck fresh in
+        if xf.Store.x_reachable_blocks <> xf.Store.x_live_blocks then
+          fail "reopened crosscheck: %d reachable vs %d live"
+            xf.Store.x_reachable_blocks xf.Store.x_live_blocks;
+        List.iter
+          (fun g ->
+            if Store.gen_report s g <> Store.gen_report fresh g then
+              fail "gen %d: running and reopened reports differ" g)
+          (Store.generations s);
+        (* The running store also holds the generation table named by
+           the other superblock slot; a reopened one recovered from a
+           single slot. Everything else is the same set of blocks. *)
+        let st = Store.stats s and sf = Store.stats fresh in
+        if st.Store.live_blocks - sf.Store.live_blocks
+           <> x.Store.x_reachable_blocks - xf.Store.x_reachable_blocks
+           || st.Store.live_blocks < sf.Store.live_blocks
+        then fail "live blocks: running %d, reopened %d" st.Store.live_blocks
+            sf.Store.live_blocks;
+        let live = List.map (Hashtbl.find committed) (Store.generations s) in
+        let seeds = distinct (List.concat_map (fun m -> List.map snd m.m_pages) live) in
+        let blobs = distinct (List.concat_map (fun m -> List.map snd m.m_blobs) live) in
+        let records = List.sort_uniq compare (List.filter_map (fun m -> m.m_record) live) in
+        let chunks rs = List.fold_left (fun n r -> n + record_chunks r) 0 rs in
+        let expect_fresh = seeds + blobs + chunks records in
+        let expect_running =
+          seeds + blobs + chunks (List.filter (fun r -> List.mem r !indexed) records)
+        in
+        if sf.Store.dedup_entries <> expect_fresh then
+          fail "reopened dedup entries %d, expected %d" sf.Store.dedup_entries expect_fresh;
+        if st.Store.dedup_entries <> expect_running then
+          fail "running dedup entries %d, expected %d" st.Store.dedup_entries
+            expect_running
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | M_page (i, c) ->
+            let m = current () in
+            Store.put_page !store ~oid:1 ~pindex:i ~seed:(model_seed c);
+            set { m with m_pages = (i, model_seed c) :: List.remove_assoc i m.m_pages }
+          | M_pages ps ->
+            let m = current () in
+            let ps = List.map (fun (i, c) -> (i, model_seed c)) ps in
+            Store.put_pages !store ~oid:1 (Array.of_list ps);
+            set
+              { m with
+                m_pages =
+                  List.fold_left
+                    (fun acc (i, seed) -> (i, seed) :: List.remove_assoc i acc)
+                    m.m_pages ps }
+          | M_blob (i, c) ->
+            let m = current () in
+            Store.put_blob !store ~oid:3 ~index:i (model_blob c);
+            set { m with m_blobs = (i, model_blob c) :: List.remove_assoc i m.m_blobs }
+          | M_record len ->
+            let m = current () in
+            incr serial;
+            let r = (!serial, len) in
+            Store.put_record !store ~oid:2 (model_record r);
+            set { m with m_record = Some r }
+          | M_commit ->
+            let m = current () in
+            let g, d = Store.commit !store () in
+            Store.wait_durable !store d;
+            Hashtbl.replace committed g m;
+            open_gen := None;
+            check_all ()
+          | M_abort ->
+            if !open_gen <> None then begin
+              Store.abort_generation !store;
+              open_gen := None;
+              reindex ()
+            end;
+            check_all ()
+          | M_gc n ->
+            if !open_gen = None then begin
+              let gens = Store.generations !store in
+              let keep = List.filteri (fun i _ -> i >= List.length gens - n) gens in
+              ignore (Store.gc !store ~keep)
+            end;
+            if !open_gen = None then check_all ()
+          | M_crash ->
+            Devarray.crash dev;
+            store := Store.open_exn ~dev;
+            open_gen := None;
+            reindex ();
+            check_all ())
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Retention                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Heap words the store itself keeps per stored page once its node
+   cache is dropped: the block table, the dedup index and the
+   generation bookkeeping, not the device's own block map. *)
+let store_words_per_page ~protection n =
+  let _, dev = mkdev () in
+  let s = Store.format ~protection ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_pages s ~oid:1 (Array.init n (fun i -> (i, Int64.of_int (50_000 + i))));
+  let _, d = Store.commit s () in
+  Store.wait_durable s d;
+  Store.wait_all_durable s;
+  Store.drop_caches s;
+  let words = Obj.reachable_words (Obj.repr s) - Obj.reachable_words (Obj.repr dev) in
+  float_of_int words /. float_of_int n
+
+let test_store_retention () =
+  let n = 20_000 in
+  List.iter
+    (fun (name, protection, bound) ->
+      let w = store_words_per_page ~protection n in
+      if w > bound then
+        Alcotest.failf "%s: %.1f words per page retained, bound %.1f" name w bound)
+    [
+      (* Measured 17.8 / 25.5 / 35.3 with per-block hash tables. *)
+      ("dedup", { Store.verify = false; mirror = false }, 15.0);
+      ("verify", { Store.verify = true; mirror = false }, 18.0);
+      ("verify+mirror", full_protection, 27.0);
+    ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -933,7 +1405,7 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "alloc/free/reuse" `Quick test_alloc_reuse;
-          Alcotest.test_case "refcounting + hooks" `Quick test_alloc_refcounting;
+          Alcotest.test_case "refcounting" `Quick test_alloc_refcounting;
           Alcotest.test_case "capacity" `Quick test_alloc_capacity;
         ] );
       ( "btree",
@@ -996,5 +1468,21 @@ let () =
             test_store_transient_reads_retry;
           Alcotest.test_case "fault storm + crash recovers bit-exact" `Quick
             test_store_fault_storm_crash_recover_bitexact;
+        ] );
+      ( "block-table",
+        [
+          Alcotest.test_case "freed block leaves no stale state" `Quick
+            test_store_freed_block_state;
+          Alcotest.test_case "put_pages with a repeated page index" `Quick
+            test_store_put_pages_repeated_index;
+          Alcotest.test_case "large protected store commits and reopens" `Quick
+            test_store_large_protected_commit;
+          Alcotest.test_case "bad block pointers quarantine their generation" `Quick
+            test_store_bad_pointer_quarantined;
+          Alcotest.test_case "retained words per page" `Quick test_store_retention;
+          qt (prop_store_model { Store.verify = false; mirror = false });
+          qt (prop_store_model { Store.verify = true; mirror = false });
+          qt (prop_store_model { Store.verify = false; mirror = true });
+          qt (prop_store_model full_protection);
         ] );
     ]
