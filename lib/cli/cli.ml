@@ -29,6 +29,24 @@ type universe = {
 
 let default_path = "aurora.universe"
 
+(* A universe file is this header line, then an untagged [Marshal] of
+   [universe_file]. Marshal cannot tell another type's bytes from this
+   one's, so bump the version whenever a type reachable from
+   [universe_file] changes (the device's block storage included):
+   [load] then rejects an old file instead of misreading it. *)
+let universe_header = "aurora-universe 2\n"
+
+let write_universe_file path ~nvme ~apps =
+  (* Detach instrumentation before marshaling: the span recorder and
+     metrics registry are per-boot state (Machine.boot rebinds them),
+     and marshaling them would drag the whole retained trace into the
+     universe file. *)
+  Devarray.set_observability nvme ();
+  let oc = open_out_bin path in
+  output_string oc universe_header;
+  Marshal.to_channel oc { uf_nvme = nvme; uf_apps = apps } [];
+  close_out oc
+
 let save path (u : universe) =
   (* Quiesce: a final checkpoint of each group, fully durable, so the
      device alone can resurrect everything. *)
@@ -39,16 +57,7 @@ let save path (u : universe) =
         Store.wait_durable u.machine.Machine.disk_store b.Types.durable_at
       end)
     u.apps;
-  (* Detach instrumentation before marshaling: the span recorder and
-     metrics registry are per-boot state (Machine.boot rebinds them),
-     and marshaling them would drag the whole retained trace into the
-     universe file. *)
-  Devarray.set_observability u.machine.Machine.nvme ();
-  let oc = open_out_bin path in
-  Marshal.to_channel oc
-    { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
-    [];
-  close_out oc
+  write_universe_file path ~nvme:u.machine.Machine.nvme ~apps:(List.map fst u.apps)
 
 (* Demo application programs live in Aurora_apps (linked in); the
    counter comes from here. *)
@@ -103,8 +112,13 @@ let load path =
   if not (Sys.file_exists path) then
     failwith (Printf.sprintf "no universe at %s (run `sls init` first)" path);
   let ic = open_in_bin path in
-  let (uf : universe_file) = (Marshal.from_channel ic : universe_file) in
-  close_in ic;
+  let uf =
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    match really_input_string ic (String.length universe_header) with
+    | h when h = universe_header -> (Marshal.from_channel ic : universe_file)
+    | _ | (exception End_of_file) ->
+      failwith (path ^ ": universe written by an incompatible version; run `sls init`")
+  in
   let machine =
     match Machine.boot ~nvme:uf.uf_nvme () with
     | Ok m -> m
@@ -855,12 +869,6 @@ let cmd_diff path gen_a gen_b json =
 
 (* --- replication commands --------------------------------------------- *)
 
-let write_universe_file path ~nvme ~apps =
-  Devarray.set_observability nvme ();
-  let oc = open_out_bin path in
-  Marshal.to_channel oc { uf_nvme = nvme; uf_apps = apps } [];
-  close_out oc
-
 (* `sls replicate DST`: attach a hot standby behind a (faulty) link,
    drive every committed generation through the replication session —
    retransmitting, resyncing — and write the standby device out as its
@@ -1001,12 +1009,7 @@ let cmd_crash path mid_pipeline =
   end;
   Machine.crash u.machine;
   (* Save WITHOUT quiescing: exactly what the power failure left. *)
-  Devarray.set_observability u.machine.Machine.nvme ();
-  let oc = open_out_bin path in
-  Marshal.to_channel oc
-    { uf_nvme = u.machine.Machine.nvme; uf_apps = List.map fst u.apps }
-    [];
-  close_out oc;
+  write_universe_file path ~nvme:u.machine.Machine.nvme ~apps:(List.map fst u.apps);
   say "power failure simulated; only durable device state survives";
   0
 

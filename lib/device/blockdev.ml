@@ -7,8 +7,6 @@ type content =
   | Seed of int64
   | Zero
 
-type slot = { mutable current : content; mutable durable : content }
-
 type stats = {
   reads : int;
   writes : int;
@@ -17,19 +15,27 @@ type stats = {
   flushes : int;
 }
 
-(* An async submission in flight: the writes become durable (on
-   power-loss-protected caches) once the simulated clock passes
-   [done_at]; a crash before that drops them. *)
-type batch = { done_at : Duration.t; writes : (int * content) list }
+(* A write the device cannot yet promise to keep: the block's content
+   before it (its pre-image) and the write's completion time. *)
+type undo = { blk : int; pre : content; done_at : Duration.t }
+
+(* The content column holds per block an 8-byte seed, then a tag byte;
+   [Data] payloads live in a side table. *)
+let stride = 9
+let tag_zero = 0
+let tag_seed = 1
+let tag_data = 2
 
 type t = {
   name : string;
   clock : Clock.t;
   profile : Profile.t;
   capacity_blocks : int option;
-  slots : (int, slot) Hashtbl.t;
+  mutable cells : Bytes.t;             (* [stride] bytes per block, up to the highest written *)
+  data : (int, string) Hashtbl.t;      (* payloads of the [Data] blocks *)
+  mutable used : int;                  (* blocks not [Zero] *)
+  log : undo Queue.t;                  (* unsettled writes, oldest first *)
   sched : Iosched.t;                   (* queue state; horizon = busy_until *)
-  mutable pending : batch list;        (* in-flight batches, newest first *)
   mutable st : stats;
   mutable faults : Fault.injector option;
   mutable tel : Telemetry.dev option;
@@ -38,9 +44,9 @@ type t = {
 let zero_stats = { reads = 0; writes = 0; blocks_read = 0; blocks_written = 0; flushes = 0 }
 
 let create ?(sched = Iosched.Fifo) ?capacity_blocks ?faults ?tel ~clock ~profile name =
-  { name; clock; profile; capacity_blocks; slots = Hashtbl.create 4096;
-    sched = Iosched.create sched; pending = []; st = zero_stats; faults;
-    tel = Option.map (fun tel -> Telemetry.dev tel name) tel }
+  { name; clock; profile; capacity_blocks; cells = Bytes.empty; data = Hashtbl.create 64;
+    used = 0; log = Queue.create (); sched = Iosched.create sched; st = zero_stats;
+    faults; tel = Option.map (fun tel -> Telemetry.dev tel name) tel }
 
 let set_observability t ?tel () =
   t.tel <- Option.map (fun tel -> Telemetry.dev tel t.name) tel
@@ -53,7 +59,6 @@ let note_io t ~op ~cls ~span ~commands ~blocks ~cost ~start_at ~end_at =
     Telemetry.dev_io d ~op ~cls:(Iosched.cls_name cls) ~span ~commands ~blocks ~cost
       ~start_at ~end_at
 
-let name t = t.name
 let profile t = t.profile
 let clock t = t.clock
 let capacity_blocks t = t.capacity_blocks
@@ -69,14 +74,33 @@ let check_index t i =
     invalid_arg (Printf.sprintf "Blockdev %s: block %d beyond capacity %d" t.name i cap)
   | _ -> ()
 
-let slot t i =
+let tag t i =
+  if stride * i < Bytes.length t.cells then Bytes.get_uint8 t.cells ((stride * i) + 8)
+  else tag_zero
+
+let get t i =
   check_index t i;
-  match Hashtbl.find_opt t.slots i with
-  | Some s -> s
-  | None ->
-    let s = { current = Zero; durable = Zero } in
-    Hashtbl.replace t.slots i s;
-    s
+  let tg = tag t i in
+  if tg = tag_seed then Seed (Bytes.get_int64_le t.cells (stride * i))
+  else if tg = tag_data then Data (Hashtbl.find t.data i)
+  else Zero
+
+(* Replace block [i]'s content, doubling the column to cover it. *)
+let set t i c =
+  let old = tag t i in
+  let tg = match c with Zero -> tag_zero | Seed _ -> tag_seed | Data _ -> tag_data in
+  if old = tag_data then Hashtbl.remove t.data i;
+  if tg <> tag_zero || old <> tag_zero then begin
+    let len = Bytes.length t.cells in
+    if stride * i >= len then
+      t.cells <- Bytes.cat t.cells (Bytes.make (max (stride * (i + 1)) (2 * len) - len) '\000');
+    (match c with
+     | Seed s -> Bytes.set_int64_le t.cells (stride * i) s
+     | Data s -> Hashtbl.replace t.data i s
+     | Zero -> ());
+    Bytes.set_uint8 t.cells ((stride * i) + 8) tg;
+    t.used <- t.used + Bool.to_int (old = tag_zero) - Bool.to_int (tg = tag_zero)
+  end
 
 (* Charge a synchronous command: the device may still be draining its
    queue, so completion is max(now, busy_until) + cost. *)
@@ -107,9 +131,9 @@ let read ?(cls = Iosched.Foreground) t i =
   charge_sync t ~cls ~op:`Read ~blocks:1;
   t.st <- { t.st with reads = t.st.reads + 1; blocks_read = t.st.blocks_read + 1 };
   inject_read_fault t i;
-  (slot t i).current
+  get t i
 
-let peek t i = (slot t i).current
+let peek t i = get t i
 
 (* Batch reads are best-effort DMA: a dropped device or latent sector
    yields [Zero] for the affected blocks instead of failing the whole
@@ -119,14 +143,14 @@ let peek t i = (slot t i).current
    surface faults. *)
 let batch_content t i =
   match t.faults with
-  | None -> (slot t i).current
+  | None -> get t i
   | Some inj ->
     if Fault.is_dropped inj then Zero
     else if Fault.is_latent inj i then begin
       Fault.note_latent inj;
       Zero
     end
-    else (slot t i).current
+    else get t i
 
 let read_many_async ?(cls = Iosched.Foreground) t indices =
   let n = List.length indices in
@@ -145,19 +169,31 @@ let read_many_async ?(cls = Iosched.Foreground) t indices =
   in
   (List.map (fun i -> batch_content t i) indices, completion)
 
-let read_many ?cls t indices =
-  let contents, completion = read_many_async ?cls t indices in
-  Clock.advance_to t.clock completion;
-  contents
+(* A write is durable once it has completed on a power-loss-protected
+   cache; on a volatile cache only {!flush} makes it so. *)
+let durable t e =
+  (not t.profile.Profile.volatile_cache) && Duration.(e.done_at <= Clock.now t.clock)
 
-let store_block t ~completed (i, c) =
-  (match c with
-   | Data s when String.length s > block_size ->
-     invalid_arg "Blockdev.write: content larger than a block"
-   | Data _ | Seed _ | Zero -> ());
-  let s = slot t i in
-  s.current <- c;
-  if completed && not t.profile.Profile.volatile_cache then s.durable <- c
+(* Forget the oldest log entries while they are durable. Nothing a
+   crash keeps depends on it: it only bounds the log. *)
+let settle t =
+  while (not (Queue.is_empty t.log)) && durable t (Queue.peek t.log) do
+    ignore (Queue.take t.log)
+  done
+
+(* Every write path lands its blocks here: the content is visible at
+   once and the pre-image is logged until the write is durable. *)
+let store t ~done_at writes =
+  List.iter
+    (fun (i, c) ->
+      (match c with
+       | Data s when String.length s > block_size ->
+         invalid_arg "Blockdev.write: content larger than a block"
+       | Data _ | Seed _ | Zero -> ());
+      Queue.push { blk = i; pre = get t i; done_at } t.log;
+      set t i c)
+    writes;
+  settle t
 
 let corrupt_content inj = function
   | Data s when String.length s > 0 ->
@@ -220,7 +256,7 @@ let write_many ?(cls = Iosched.Foreground) t writes =
        Clock.advance t.clock retry_cost)
   end;
   t.st <- { t.st with writes = t.st.writes + 1; blocks_written = t.st.blocks_written + n };
-  List.iter (store_block t ~completed:true) writes
+  store t ~done_at:(Clock.now t.clock) writes
 
 let write ?cls t i c = write_many ?cls t [ (i, c) ]
 
@@ -270,13 +306,9 @@ let write_extents ?not_before ?(cls = Iosched.Flush) t extents =
                         blocks_written = t.st.blocks_written + nblocks };
     note_io t ~op:`Write ~cls ~span:true ~commands:nextents ~blocks:nblocks ~cost
       ~start_at:start ~end_at:completion;
-    (* Content is visible immediately (the store serializes access),
-       but the batch is remembered as in-flight so a crash before
-       completion can drop it; completion also gates durability on
-       non-volatile caches. *)
-    let writes = List.concat extents in
-    List.iter (store_block t ~completed:false) writes;
-    t.pending <- { done_at = completion; writes } :: t.pending;
+    (* Content is visible immediately (the store serializes access);
+       a crash before completion drops it. *)
+    List.iter (store t ~done_at:completion) extents;
     completion
   end
 
@@ -308,48 +340,34 @@ let write_oob t writes =
        see black-box traffic overlapping the flush window to blame it. *)
     note_io t ~op:`Oob ~cls:Iosched.Background ~span:true ~commands:1 ~blocks:n ~cost
       ~start_at:start ~end_at:completion;
-    List.iter (store_block t ~completed:false) writes;
-    t.pending <- { done_at = completion; writes } :: t.pending;
+    store t ~done_at:completion writes;
     completion
   end
 
-let settle_pending t =
-  (* Batches whose completion time has passed are done: their writes
-     are durable (unless the cache is volatile). Oldest first, so a
-     block rewritten by a later batch keeps the later content. *)
-  let now = Clock.now t.clock in
-  let still, done_ =
-    List.partition (fun b -> Duration.(b.done_at > now)) t.pending
-  in
-  if not t.profile.Profile.volatile_cache then
-    List.iter
-      (fun batch -> List.iter (fun (i, c) -> (slot t i).durable <- c) batch.writes)
-      (List.rev done_);
-  t.pending <- still
-
-let settle t = settle_pending t
-
 let await t completion =
   Clock.advance_to t.clock completion;
-  settle_pending t
+  settle t
 
 let flush t =
   Clock.advance_to t.clock (busy_until t);
   Clock.advance t.clock t.profile.Profile.flush_latency;
-  t.pending <- [];
   t.st <- { t.st with flushes = t.st.flushes + 1 };
-  Hashtbl.iter (fun _ s -> s.durable <- s.current) t.slots
+  Queue.clear t.log
 
+(* Undo, newest first, every write that is not durable, unless a newer
+   durable write to the same block supersedes it. *)
 let crash t =
-  (* Batches that completed (in simulated time) before the failure are
-     durable; queued-but-incomplete ones never happened. *)
-  settle_pending t;
-  t.pending <- [];
-  Iosched.reset_to t.sched (Clock.now t.clock);
-  Hashtbl.iter (fun _ s -> s.current <- s.durable) t.slots
+  settle t;
+  let kept = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      if durable t e then Hashtbl.replace kept e.blk ()
+      else if not (Hashtbl.mem kept e.blk) then set t e.blk e.pre)
+    (Queue.fold (fun newer e -> e :: newer) [] t.log);
+  Queue.clear t.log;
+  Iosched.reset_to t.sched (Clock.now t.clock)
 
 let stats t = t.st
 let reset_stats t = t.st <- zero_stats
 
-let used_blocks t =
-  Hashtbl.fold (fun _ s acc -> match s.current with Zero -> acc | _ -> acc + 1) t.slots 0
+let used_blocks t = t.used

@@ -2,10 +2,17 @@
 
     A block device stores fixed-size (4 KiB) blocks of opaque content
     behind a {!Profile.t} performance model. Writes land in the device
-    write cache and become durable only after {!flush} (immediately, if
-    the profile's cache is power-loss protected). {!crash} reverts every
-    non-durable block — this is what the crash-consistency tests lean
-    on.
+    write cache: their content is visible at once, and they become
+    durable once they complete on a power-loss-protected cache, or when
+    a {!flush} covers them. Until then the device keeps an undo log
+    entry (the block's pre-image) per write; {!crash} replays it.
+
+    {b The crash contract.} After {!crash}, each block holds its newest
+    write, in submission order, that had become durable — completed on
+    a power-loss-protected cache, or covered by a {!flush}; a block with
+    no durable write reads [Zero]. So a durable write is never
+    reverted, not even by an older submission completing after it;
+    this is what the crash-consistency tests lean on.
 
     Two submission modes mirror how Aurora uses storage:
     - synchronous ([read]/[write]/[flush]) advance the simulated clock
@@ -47,7 +54,6 @@ val set_observability : t -> ?tel:Telemetry.t -> unit -> unit
     machine booted on an existing device calls this so the device
     reports into the new kernel's registries. *)
 
-val name : t -> string
 val profile : t -> Profile.t
 val clock : t -> Clock.t
 
@@ -65,17 +71,15 @@ val read : ?cls:Iosched.cls -> t -> int -> content
     way — for a dropped device, an injected transient error, or a
     latent sector. *)
 
-val read_many : ?cls:Iosched.cls -> t -> int list -> content list
-(** One command: latency charged once, bandwidth per block. Batch
-    reads are best-effort: blocks on latent sectors (or a dropped
-    device) come back [Zero] instead of failing the transfer — callers
-    that need certainty verify checksums and re-issue single reads. *)
-
 val read_many_async : ?cls:Iosched.cls -> t -> int list -> content list * Duration.t
-(** Queue one read command and return the contents together with the
-    absolute completion time {e without} advancing the clock. The
-    device array uses this to issue reads on several devices at the
-    same simulated instant and then wait for the slowest. *)
+(** Queue one read command (latency charged once, bandwidth per block)
+    and return the contents together with the absolute completion time
+    {e without} advancing the clock. The device array uses this to
+    issue reads on several devices at the same simulated instant and
+    then wait for the slowest. Batch reads are best-effort: blocks on
+    latent sectors (or a dropped device) come back [Zero] instead of
+    failing the transfer — callers that need certainty verify checksums
+    and re-issue single reads. *)
 
 val peek : t -> int -> content
 (** Read without charging the clock or the stats counters. For
@@ -133,24 +137,26 @@ val await : t -> Duration.t -> unit
     the future — i.e. block on an async write. *)
 
 val settle : t -> unit
-(** Mark async batches whose completion time has passed durable
-    (non-volatile caches) without advancing the clock. {!await} and
-    {!crash} call this implicitly; a device array calls it after
-    advancing the shared clock itself. *)
+(** Drop the oldest undo log entries while they are durable, without
+    advancing the clock. It changes nothing a crash keeps; it bounds
+    the log to the unsettled writes. {!await} and {!crash} call it; a
+    device array calls it after advancing the shared clock itself.
+    O(entries dropped). *)
 
 val busy_until : t -> Duration.t
 (** The absolute time at which the device's queue drains. *)
 
 val flush : t -> unit
 (** Durability barrier: waits for queued writes, pays the profile's
-    flush latency, marks all completed writes durable. *)
+    flush latency, makes every write so far durable (clears the undo
+    log). O(unsettled writes). *)
 
 val crash : t -> unit
-(** Power failure: every block whose latest write was not durable
-    reverts to its last durable content. Async batches whose
-    completion time already passed in simulated time did finish and
-    survive (on non-volatile caches); still-queued batches are
-    dropped. *)
+(** Power failure, under the crash contract above: the undo log is
+    replayed newest first, restoring the pre-image of every write that
+    was not durable unless a newer durable write to the same block
+    supersedes it. Still-queued transfers are dropped from the
+    schedule. O(unsettled writes). *)
 
 (** Operation counters, for bandwidth/volume reporting in benches. *)
 type stats = {
@@ -169,4 +175,4 @@ val sched_stats : t -> Iosched.stats
 
 val reset_stats : t -> unit
 val used_blocks : t -> int
-(** Number of distinct blocks ever written and still holding content. *)
+(** Number of blocks currently holding content other than [Zero]. O(1). *)

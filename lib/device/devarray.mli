@@ -64,14 +64,10 @@ val logical : t -> dev:int -> phys:int -> int
 val read : ?cls:Iosched.cls -> t -> int -> Blockdev.content
 val peek : t -> int -> Blockdev.content
 
-val read_many : ?cls:Iosched.cls -> t -> int list -> Blockdev.content list
+val read_many_arr : ?cls:Iosched.cls -> t -> int array -> Blockdev.content array
 (** One command per device touched, issued at the same simulated
     instant; the clock advances to the slowest device's completion.
     Results are in request order. [cls] defaults to [Foreground]. *)
-
-val read_many_arr : ?cls:Iosched.cls -> t -> int array -> Blockdev.content array
-(** Array variant of {!read_many} for preallocated hot paths: same
-    batching and timing, results in request order, no list churn. *)
 
 val write : ?cls:Iosched.cls -> t -> int -> Blockdev.content -> unit
 val write_many : ?cls:Iosched.cls -> t -> (int * Blockdev.content) list -> unit

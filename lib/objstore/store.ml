@@ -1786,18 +1786,21 @@ let fsck ?(scrub = false) t =
       let rc = Alloc.refcount t.alloc block in
       if rc <> n then problem "block %d: refcount %d, reachable edges %d" block rc n)
     edges;
-  (* Records must read back whole (an oid may hold only pages, which
-     is fine; a corrupt or truncated record is not). *)
+  (* The oid listing and the records must read back whole (an oid may
+     hold only pages, which is fine; a corrupt or truncated record or
+     tree node is not). *)
+  let readable what f =
+    try f () with
+    | Serial.Corrupt msg -> problem "%s: %s" what msg
+    | Fail e -> problem "%s: %s" what (describe_error e)
+  in
   Hashtbl.iter
     (fun g _ ->
+      readable (Printf.sprintf "generation %d" g) @@ fun () ->
       List.iter
         (fun oid ->
-          match read_record t g ~oid with
-          | Some _ | None -> ()
-          | exception Serial.Corrupt msg ->
-            problem "generation %d oid %d: %s" g oid msg
-          | exception Fail e ->
-            problem "generation %d oid %d: %s" g oid (describe_error e))
+          readable (Printf.sprintf "generation %d oid %d" g oid) @@ fun () ->
+          ignore (read_record t g ~oid))
         (oids t g))
     t.gens;
   let healed = List.rev t.repair_log in

@@ -18,15 +18,16 @@ let with_universe name f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-(* Capture what a command prints (the CLI talks on stdout). *)
-let capture f =
-  let old = Unix.dup Unix.stdout in
+(* Capture what a command prints (the CLI talks on stdout, and reports
+   errors on stderr). *)
+let capture_on fd ch f =
+  let old = Unix.dup fd in
   let read_fd, write_fd = Unix.pipe () in
-  Unix.dup2 write_fd Unix.stdout;
+  Unix.dup2 write_fd fd;
   let result = f () in
-  flush stdout;
+  flush ch;
   Unix.close write_fd;
-  Unix.dup2 old Unix.stdout;
+  Unix.dup2 old fd;
   Unix.close old;
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
@@ -40,6 +41,8 @@ let capture f =
   (try drain () with End_of_file -> ());
   Unix.close read_fd;
   (result, Buffer.contents buf)
+
+let capture f = capture_on Unix.stdout stdout f
 
 let contains haystack needle =
   let lh = String.length haystack and ln = String.length needle in
@@ -107,6 +110,22 @@ let test_errors () =
         (sls [ "spawn"; "x"; "--app"; "nonsense"; "-u"; u ] <> 0);
       check_bool "send without checkpoint rejected" true
         (sls [ "send"; tmp "never.bin"; "-u"; u ] <> 0))
+
+(* A universe file is a format header plus a Marshal blob; a file
+   without the header (an older format, or any other marshalled value)
+   must be refused before it is unmarshalled as a universe. *)
+let test_headerless_universe_rejected () =
+  let path = tmp "cli-headerless.universe" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Marshal.to_channel oc ([ 1; 2; 3 ], "not a universe") [];
+      close_out oc;
+      let rc, err = capture_on Unix.stderr stderr (fun () -> sls [ "ps"; "-u"; path ]) in
+      check_int "rejected like a missing universe" 1 rc;
+      check_bool "names the incompatible version" true
+        (contains err "universe written by an incompatible version; run `sls init`"))
 
 let test_recv_garbage_exits_2 () =
   with_universe "cli-garbage.universe" (fun u ->
@@ -419,5 +438,7 @@ let () =
             test_postmortem_and_timeline;
           Alcotest.test_case "timeline without replication exits 2" `Quick
             test_timeline_without_replication_exits_2;
+          Alcotest.test_case "headerless universe rejected" `Quick
+            test_headerless_universe_rejected;
         ] );
     ]

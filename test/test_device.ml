@@ -162,7 +162,7 @@ let test_stats_counting () =
   let _, dev = mkdev () in
   Blockdev.write_many dev [ (0, Blockdev.Seed 1L); (1, Blockdev.Seed 2L) ];
   ignore (Blockdev.read dev 0);
-  ignore (Blockdev.read_many dev [ 0; 1 ]);
+  Blockdev.await dev (snd (Blockdev.read_many_async dev [ 0; 1 ]));
   let st = Blockdev.stats dev in
   check_int "write cmds" 1 st.Blockdev.writes;
   check_int "blocks written" 2 st.Blockdev.blocks_written;
@@ -222,6 +222,181 @@ let prop_async_completions_monotone =
       in
       monotone completions)
 
+(* The crash contract: a block keeps its newest durable write in
+   submission order, even when an older submission completes later. *)
+let test_crash_keeps_sync_over_older_async () =
+  let _, dev = mkdev ~profile:Profile.optane_900p () in
+  ignore (Blockdev.write_async dev [ (0, Blockdev.Data "A") ]);
+  Blockdev.write dev 0 (Blockdev.Data "B");
+  Blockdev.crash dev;
+  Alcotest.check content_t "newer sync write kept" (Blockdev.Data "B") (Blockdev.read dev 0)
+
+let test_crash_keeps_oob_over_older_async () =
+  let clock, dev = mkdev ~profile:Profile.optane_900p () in
+  let big = (0, Blockdev.Data "A") :: List.init 1024 (fun i -> (i + 1, Blockdev.Seed 1L)) in
+  let a_done = Blockdev.write_async dev big in
+  let b_done = Blockdev.write_oob dev [ (0, Blockdev.Data "B") ] in
+  check_bool "the oob write lands first" true Duration.(b_done < a_done);
+  Clock.advance_to clock b_done;
+  Blockdev.settle dev;
+  Clock.advance_to clock a_done;
+  Blockdev.settle dev;
+  Blockdev.crash dev;
+  Alcotest.check content_t "newer oob write kept" (Blockdev.Data "B") (Blockdev.read dev 0)
+
+type dev_op =
+  | D_write of int * int
+  | D_write_many of (int * int) list
+  | D_async of (int * int) list
+  | D_oob of (int * int) list
+  | D_advance of int
+  | D_settle
+  | D_flush
+  | D_crash
+
+(* Value 0 writes [Zero], odd values [Seed], even ones [Data]. *)
+let content_of v =
+  if v = 0 then Blockdev.Zero
+  else if v land 1 = 1 then Blockdev.Seed (Int64.of_int v)
+  else Blockdev.Data (string_of_int v)
+
+let model_blocks = 8
+
+let dev_op_gen =
+  let open QCheck.Gen in
+  let w = pair (int_bound (model_blocks - 1)) (int_bound 9) in
+  frequency
+    [
+      (4, map2 (fun b v -> D_write (b, v)) (int_bound (model_blocks - 1)) (int_bound 9));
+      (2, map (fun ws -> D_write_many ws) (list_size (int_range 1 4) w));
+      (4, map (fun ws -> D_async ws) (list_size (int_range 1 40) w));
+      (3, map (fun ws -> D_oob ws) (list_size (int_range 1 3) w));
+      (4, map (fun us -> D_advance us) (int_bound 200));
+      (2, return D_settle);
+      (1, return D_flush);
+      (2, return D_crash);
+    ]
+
+let pp_dev_op = function
+  | D_write (b, v) -> Printf.sprintf "write %d=%d" b v
+  | D_write_many ws -> Printf.sprintf "write_many(%d)" (List.length ws)
+  | D_async ws -> Printf.sprintf "async(%d)" (List.length ws)
+  | D_oob ws -> Printf.sprintf "oob(%d)" (List.length ws)
+  | D_advance us -> Printf.sprintf "advance %dus" us
+  | D_settle -> "settle"
+  | D_flush -> "flush"
+  | D_crash -> "crash"
+
+(* Reference model of the crash contract: the durable base plus every
+   write since, each with its completion time. A crash keeps per block
+   the newest write that completed on a power-loss-protected cache. *)
+let prop_crash_contract_model profile =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "crash keeps the newest durable write (%s)" profile.Profile.name)
+    QCheck.(make ~print:(fun ops -> String.concat "; " (List.map pp_dev_op ops))
+              Gen.(list_size (int_range 1 40) dev_op_gen))
+    (fun ops ->
+      let clock, dev = mkdev ~profile () in
+      let base = Array.make model_blocks 0 and current = Array.make model_blocks 0 in
+      let since = ref [] (* newest first *) in
+      let record done_at ws =
+        List.iter
+          (fun (b, v) ->
+            current.(b) <- v;
+            since := (b, v, done_at) :: !since)
+          ws
+      in
+      let expect what =
+        for b = 0 to model_blocks - 1 do
+          if Blockdev.peek dev b <> content_of current.(b) then
+            QCheck.Test.fail_reportf "%s: block %d differs from the model" what b
+        done;
+        let used = Array.fold_left (fun n v -> if v = 0 then n else n + 1) 0 current in
+        if Blockdev.used_blocks dev <> used then
+          QCheck.Test.fail_reportf "%s: used_blocks %d, model %d" what
+            (Blockdev.used_blocks dev) used
+      in
+      let on_dev ws = List.map (fun (b, v) -> (b, content_of v)) ws in
+      List.iter
+        (function
+          | D_write (b, v) ->
+            Blockdev.write dev b (content_of v);
+            record (Clock.now clock) [ (b, v) ]
+          | D_write_many ws ->
+            Blockdev.write_many dev (on_dev ws);
+            record (Clock.now clock) ws
+          | D_async ws -> record (Blockdev.write_async dev (on_dev ws)) ws
+          | D_oob ws -> record (Blockdev.write_oob dev (on_dev ws)) ws
+          | D_advance us -> Clock.advance clock (Duration.microseconds us)
+          | D_settle -> Blockdev.settle dev
+          | D_flush ->
+            Blockdev.flush dev;
+            Array.blit current 0 base 0 model_blocks;
+            since := []
+          | D_crash ->
+            let now = Clock.now clock in
+            let kept = Array.make model_blocks false in
+            List.iter
+              (fun (b, v, done_at) ->
+                if (not kept.(b)) && (not profile.Profile.volatile_cache)
+                   && Duration.(done_at <= now)
+                then begin
+                  kept.(b) <- true;
+                  base.(b) <- v
+                end)
+              !since;
+            Blockdev.crash dev;
+            Array.blit base 0 current 0 model_blocks;
+            since := [];
+            expect "after crash")
+        ops;
+      expect "at the end";
+      true)
+
+(* The device keeps its current content in dense columns: a flushed
+   page payload costs about one word, not a table entry. *)
+let test_blockdev_retention () =
+  let _, dev = mkdev ~profile:Profile.nand_ssd () in
+  let n = 100_000 in
+  for chunk = 0 to (n / 1000) - 1 do
+    Blockdev.write_many dev
+      (List.init 1000 (fun i ->
+           let b = (chunk * 1000) + i in
+           (b, Blockdev.Seed (Int64.of_int (b + 1)))))
+  done;
+  Blockdev.flush dev;
+  check_int "all blocks used" n (Blockdev.used_blocks dev);
+  let per_block = float_of_int (Obj.reachable_words (Obj.repr dev)) /. float_of_int n in
+  check_bool (Printf.sprintf "<= 3 words per block (got %.2f)" per_block) true
+    (per_block <= 3.0)
+
+(* [flush] and [crash] cost the unsettled writes, not the device size. *)
+let test_blockdev_flush_crash_scaling () =
+  let host_time n barrier =
+    let _, dev = mkdev ~profile:Profile.nand_ssd () in
+    Blockdev.write_many dev (List.init n (fun b -> (b, Blockdev.Seed 1L)));
+    Blockdev.flush dev;
+    let best = ref infinity in
+    for _ = 1 to 7 do
+      let t0 = Unix.gettimeofday () in
+      for k = 1 to 200 do
+        Blockdev.write dev (k * 7919 mod n) (Blockdev.Seed (Int64.of_int k));
+        barrier dev
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
+  List.iter
+    (fun (what, barrier) ->
+      let small = host_time 1_000 barrier and large = host_time 100_000 barrier in
+      check_bool
+        (Printf.sprintf "%s: 100k blocks within 4x of 1k (%.0f vs %.0f us)" what
+           (large *. 1e6) (small *. 1e6))
+        true
+        (large <= 4.0 *. small))
+    [ ("write + flush", Blockdev.flush); ("write + crash", Blockdev.crash) ]
+
 (* ------------------------------------------------------------------ *)
 (* Devarray                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -261,7 +436,7 @@ let test_devarray_read_write_roundtrip () =
 let test_devarray_stats_sum () =
   let _, arr = mkarr ~stripes:4 () in
   Devarray.write_many arr (List.init 64 (fun i -> (i, Blockdev.Seed 1L)));
-  ignore (Devarray.read_many arr (List.init 10 Fun.id));
+  ignore (Devarray.read_many_arr arr (Array.init 10 Fun.id));
   let agg = Devarray.stats arr in
   let per = Devarray.device_stats arr in
   let sum f = Array.fold_left (fun acc st -> acc + f st) 0 per in
@@ -531,8 +706,8 @@ let test_fault_latent_batch_reads_zero () =
   Devarray.write dev 2 (Blockdev.Seed 2L);
   Devarray.write dev 3 (Blockdev.Seed 3L);
   Devarray.inject_latent dev 2;
-  (match Devarray.read_many dev [ 2; 3 ] with
-   | [ a; b ] ->
+  (match Devarray.read_many_arr dev [| 2; 3 |] with
+   | [| a; b |] ->
      check_bool "latent block substituted with Zero" true (a = Blockdev.Zero);
      check_bool "healthy block intact" true (b = Blockdev.Seed 3L)
    | _ -> Alcotest.fail "wrong batch shape")
@@ -766,6 +941,16 @@ let () =
           qt prop_blockdev_read_back;
           qt prop_crash_preserves_durable;
           qt prop_async_completions_monotone;
+          Alcotest.test_case "crash keeps a sync write over an older async" `Quick
+            test_crash_keeps_sync_over_older_async;
+          Alcotest.test_case "crash keeps an oob write over an older async" `Quick
+            test_crash_keeps_oob_over_older_async;
+          qt (prop_crash_contract_model Profile.nand_ssd);
+          qt (prop_crash_contract_model Profile.optane_900p);
+          Alcotest.test_case "dense columns: <= 3 words per block" `Quick
+            test_blockdev_retention;
+          Alcotest.test_case "flush and crash independent of device size" `Quick
+            test_blockdev_flush_crash_scaling;
         ] );
       ( "devarray",
         [

@@ -606,6 +606,33 @@ let test_fsck_clean_store () =
   Store.wait_durable s d;
   expect_clean_fsck "fsck" s
 
+(* A committed tree node that no longer decodes is reported as a
+   problem, not raised, even without scrub or protection. *)
+let test_fsck_reports_rotted_leaf () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:1 "record";
+  Store.put_page s ~oid:1 ~pindex:0 ~seed:4242L;
+  let _, d = Store.commit s () in
+  Store.wait_durable s d;
+  (* The generation's tree is one leaf: the only block past the
+     superblocks whose tag byte is 0. *)
+  let is_leaf b =
+    match Devarray.peek dev b with
+    | Blockdev.Data d -> String.length d > 0 && d.[0] = '\000'
+    | Blockdev.Seed _ | Blockdev.Zero -> false
+  in
+  let leaf =
+    match List.filter is_leaf (List.init (Devarray.used_blocks dev + 8) (fun b -> b + 2)) with
+    | [ b ] -> b
+    | l -> Alcotest.failf "expected one leaf, found %d" (List.length l)
+  in
+  Devarray.write dev leaf (Blockdev.Data "garbage");
+  Store.drop_caches s;
+  let r = Store.fsck s in
+  check_bool "rotted leaf reported" true (r.Store.problems <> [])
+
 type store_op =
   | S_commit of (int * int64) list  (* pages for oid 1 *)
   | S_record of string
@@ -1436,6 +1463,8 @@ let () =
         [
           Alcotest.test_case "clean store" `Quick test_fsck_clean_store;
           qt prop_store_history_invariants;
+          Alcotest.test_case "rotted leaf is a problem, not an exception" `Quick
+            test_fsck_reports_rotted_leaf;
         ] );
       ( "crash-recovery",
         [
