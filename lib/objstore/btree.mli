@@ -17,12 +17,18 @@
       uniquely-owned blocks: GC without rewriting surviving
       checkpoints.
 
-    Nodes live in a write-back cache; device writes happen at
-    {!flush_dirty} (asynchronously, on the device timeline) and device
-    reads happen only on cache misses — i.e. at recovery and cold
-    restore, where they are charged to the simulated clock. Values are
-    either immediates or reference-counted block pointers; the tree
-    owns one reference per pointer value stored in it. *)
+    A node is its block's bytes, every integer 8 bytes little-endian:
+    a leaf is [u8 0, n, n x (key, u8 tag, value)] (tag 0 [Imm], 1
+    [Ptr]), an internal node [u8 1, n, n keys, n+1, n+1 children],
+    keys strictly ascending; search is binary search over the keys.
+    A clean node, read from the device or flushed, shares the string
+    the device holds and is never written: only the private
+    block-sized copy that copy-on-write makes in the current epoch is
+    mutable, until {!flush_dirty} writes it (asynchronously). Nodes
+    are read, and validated, only on cache misses — i.e. at recovery
+    and cold restore, charged to the simulated clock. Values are
+    immediates or reference-counted block pointers; the tree owns one
+    reference per pointer value stored in it. *)
 
 open Aurora_simtime
 open Aurora_device
@@ -69,18 +75,17 @@ val retain_root : t -> int -> unit
 val flush_dirty :
   ?tee:((int * Blockdev.content) list -> (int * Blockdev.content) list) ->
   ?cls:Iosched.cls -> t -> Duration.t
-(** Queue all dirty cached nodes to the device (asynchronously);
-    returns the absolute completion time ({!Aurora_simtime.Duration}),
-    or the current time when nothing was dirty. [tee] observes the
+(** Queue every node written since the last flush to the device
+    (asynchronously); returns the absolute completion time
+    ({!Aurora_simtime.Duration}), or the current time when none was. [tee] observes the
     queued node writes and returns extra writes to append to the same
     submission — the store uses it to record node checksums and emit
     mirror copies in the same flush. *)
 
-val dirty_count : t -> int
 val cached_count : t -> int
 val drop_cache : t -> unit
-(** Evict all clean cached nodes (cold-cache benchmarks). Raises
-    [Invalid_argument] if dirty nodes remain. *)
+(** Evict all cached nodes (cold-cache benchmarks). Raises
+    [Invalid_argument] if an unflushed node remains. *)
 
 val reset_cache : t -> unit
 (** Evict everything, dirty or not. Recovery uses this after a crash
@@ -91,6 +96,7 @@ val reset_cache : t -> unit
 type view = Leaf_view of (int64 * value) list | Internal_view of int list
 
 val view : t -> int -> view
-(** Decodes the node at a block (cache miss reads the device). *)
+(** The node at a block (a cache miss reads the device). Raises
+    [Serial.Corrupt] for a node that does not check out. *)
 
 val node_depth : t -> root:int -> int

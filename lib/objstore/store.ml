@@ -174,7 +174,7 @@ let checksum_content = function
 
 let key ~oid ~kind ~index =
   if oid < 0 || oid >= 1 lsl 29 then invalid_arg "Store: oid out of range";
-  if index < 0 then invalid_arg "Store: negative index";
+  if index < 0 || index >= 1 lsl 32 then invalid_arg "Store: index out of range";
   Int64.add
     (Int64.add
        (Int64.mul (Int64.of_int oid) 0x4_0000_0000L)
@@ -739,14 +739,14 @@ let put_record t ~oid data =
 
 let put_page t ~oid ~pindex ~seed =
   let _ = require_open t in
+  let k = key ~oid ~kind:kind_page ~index:pindex in
   Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:1) t.tel;
   (match open_prov t with
    | Some p ->
      p.pv_pages <- p.pv_pages + 1;
      p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size
    | None -> ());
-  let block = content_block t (Blockdev.Seed seed) ~bytes:Blockdev.block_size in
-  tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr block)
+  tree_insert t k (Btree.Ptr (content_block t (Blockdev.Seed seed) ~bytes:Blockdev.block_size))
 
 (* Batched page ingest: dedup hits resolve to existing blocks; the
    distinct misses share one stripe-aware extent of fresh contiguous
@@ -756,6 +756,7 @@ let put_page t ~oid ~pindex ~seed =
 let put_pages t ~oid pages =
   let _ = require_open t in
   let n = Array.length pages in
+  let keys = Array.map (fun (pindex, _) -> key ~oid ~kind:kind_page ~index:pindex) pages in
   Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:n) t.tel;
   (match open_prov t with
    | Some p ->
@@ -818,23 +819,20 @@ let put_pages t ~oid pages =
           hit.(i) <- ext.(s)
         end)
       pages;
-    Array.iteri
-      (fun i (pindex, _) ->
-        tree_insert t (key ~oid ~kind:kind_page ~index:pindex) (Btree.Ptr hit.(i)))
-      pages
+    Array.iteri (fun i k -> tree_insert t k (Btree.Ptr hit.(i))) keys
   end
 
 let put_blob t ~oid ~index data =
   let _ = require_open t in
   if String.length data > Blockdev.block_size then
     invalid_arg "Store.put_blob: blob exceeds block size";
+  let k = key ~oid ~kind:kind_blob ~index in
   (match open_prov t with
    | Some p ->
      p.pv_blobs <- p.pv_blobs + 1;
      p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
    | None -> ());
-  let block = content_block t (Blockdev.Data data) ~bytes:(String.length data) in
-  tree_insert t (key ~oid ~kind:kind_blob ~index) (Btree.Ptr block)
+  tree_insert t k (Btree.Ptr (content_block t (Blockdev.Data data) ~bytes:(String.length data)))
 
 (* Checksum and mirror the B+tree node flush: observes the queued node
    writes and appends the replica writes to the same submission. *)

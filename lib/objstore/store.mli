@@ -128,7 +128,8 @@ val put_record : t -> oid:int -> string -> unit
 
 val put_page : t -> oid:int -> pindex:int -> seed:int64 -> unit
 (** Store/replace a page. Content (identified by its seed) is
-    deduplicated store-wide. *)
+    deduplicated store-wide. Page and blob indexes must lie in
+    [\[0, 2{^32})]; others raise [Invalid_argument] before any change. *)
 
 val put_pages : t -> oid:int -> (int * int64) array -> unit
 (** Batched {!put_page}: [(pindex, seed)] pairs. Deduplication applies

@@ -257,6 +257,224 @@ let prop_btree_fold_range_matches_model =
       in
       got = expected)
 
+(* Every [Data] block on the device in block order, with its number. *)
+let device_nodes dev =
+  let used = Devarray.used_blocks dev in
+  let rec go b seen acc =
+    if seen = used then List.rev acc
+    else
+      match Devarray.peek dev b with
+      | Blockdev.Data s -> go (b + 1) (seen + 1) ((b, s) :: acc)
+      | Blockdev.Seed _ -> go (b + 1) (seen + 1) acc
+      | Blockdev.Zero -> go (b + 1) seen acc
+  in
+  go 0 0 []
+
+(* The node layout is the on-disk format: a fixed two-epoch history
+   with leaf and internal splits and both value kinds must write
+   exactly these bytes to exactly these blocks. *)
+let test_btree_golden_format () =
+  let dev, alloc, t = mktree () in
+  Btree.begin_epoch t 1;
+  let root = ref (Btree.empty_root t) in
+  let ins k v = root := Btree.insert t ~root:!root ~key:k v in
+  for i = 0 to 20_999 do
+    ins (Int64.of_int (2 * i))
+      (if i mod 7 = 0 then Btree.Ptr (Alloc.alloc alloc) else Btree.Imm (Int64.of_int (-3 * i)))
+  done;
+  ins Int64.min_int (Btree.Imm Int64.max_int);
+  Devarray.await dev (Btree.flush_dirty t);
+  check_int "internal split grew a third level" 3 (Btree.node_depth t ~root:!root);
+  Btree.retain_root t !root;
+  Btree.begin_epoch t 2;
+  for i = 0 to 2_999 do
+    let k = (i * 7919) mod 3_000 in
+    ins (Int64.of_int ((14 * k) + 1)) (Btree.Imm (Int64.of_int k));
+    if k mod 5 = 0 then ins (Int64.of_int (14 * k)) (Btree.Ptr (Alloc.alloc alloc))
+  done;
+  ins Int64.max_int (Btree.Imm Int64.min_int);
+  Devarray.await dev (Btree.flush_dirty t);
+  let buf = Buffer.create 4096 in
+  List.iter (fun (b, s) -> Buffer.add_string buf (Printf.sprintf "%d:%s" b s)) (device_nodes dev);
+  (* Recorded with the list-node implementation this layout replaced. *)
+  Alcotest.(check string) "node blocks digest" "75cd81f1f02611fad0bc212ad7c11a5f"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A committed node is immutable: inserting into every leaf of the
+   next epoch (and of the one after, from cold-read nodes) leaves the
+   bytes the device already holds untouched. *)
+let test_btree_committed_nodes_immutable () =
+  let dev, _, t = mktree () in
+  Btree.begin_epoch t 1;
+  let root = ref (Btree.empty_root t) in
+  for i = 0 to 1_999 do
+    root := Btree.insert t ~root:!root ~key:(Int64.of_int (4 * i)) (Btree.Imm (Int64.of_int i))
+  done;
+  let epoch e ~drop offset =
+    Devarray.await dev (Btree.flush_dirty t);
+    if drop then Btree.drop_cache t;
+    let copy s = String.init (String.length s) (String.get s) in
+    let saved = List.map (fun (b, s) -> (b, s, copy s)) (device_nodes dev) in
+    let snap = !root in
+    Btree.retain_root t snap;
+    Btree.begin_epoch t e;
+    for i = 0 to 1_999 do
+      root := Btree.insert t ~root:!root ~key:(Int64.of_int ((4 * i) + offset)) (Btree.Imm 0L)
+    done;
+    let unchanged () =
+      List.iter
+        (fun (b, s, copy) ->
+          check_bool (Printf.sprintf "epoch %d: shared bytes of block %d" e b) true
+            (String.equal s copy);
+          check_bool (Printf.sprintf "epoch %d: device block %d" e b) true
+            (Devarray.peek dev b = Blockdev.Data copy))
+        saved
+    in
+    unchanged ();
+    Devarray.await dev (Btree.flush_dirty t);
+    unchanged ();
+    check_bool "snapshot reads its own value" true
+      (Btree.find t ~root:snap (Int64.of_int (4 * 1_999)) = Some (Btree.Imm 1_999L))
+  in
+  epoch 2 ~drop:false 1;
+  epoch 3 ~drop:true 2
+
+(* Crafted nodes a binary search could not trust are rejected when read. *)
+let test_btree_rejects_bad_nodes () =
+  let dev, _, t = mktree () in
+  let node parts =
+    let b = Buffer.create 64 in
+    List.iter
+      (function
+        | `U8 v -> Buffer.add_uint8 b v
+        | `I v -> Buffer.add_int64_le b (Int64.of_int v))
+      parts;
+    Buffer.contents b
+  in
+  let leaf = node [ `U8 0; `I 2; `I 1; `U8 0; `I 5; `I 2; `U8 1; `I 7 ] in
+  let read s =
+    Devarray.write dev 2 (Blockdev.Data s);
+    Btree.reset_cache t;
+    Btree.view t 2
+  in
+  check_bool "a well-formed leaf reads" true
+    (read leaf = Btree.Leaf_view [ (1L, Btree.Imm 5L); (2L, Btree.Ptr 7) ]);
+  List.iter
+    (fun (what, s) ->
+      match read s with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Aurora_posix.Serial.Corrupt _ -> ())
+    [
+      ("bad node tag", node [ `U8 2; `I 0 ]);
+      ("bad value tag", node [ `U8 0; `I 1; `I 1; `U8 5; `I 5 ]);
+      ("negative count", node [ `U8 0; `I (-1) ]);
+      ("truncated leaf", String.sub leaf 0 (String.length leaf - 1));
+      ("truncated header", "\000\001");
+      ("child/key count mismatch", node [ `U8 1; `I 1; `I 5; `I 3; `I 10; `I 11; `I 12 ]);
+      ("unsorted leaf keys", node [ `U8 0; `I 2; `I 2; `U8 0; `I 5; `I 1; `U8 0; `I 7 ]);
+      ("repeated internal key", node [ `U8 1; `I 2; `I 5; `I 5; `I 3; `I 10; `I 11; `I 12 ]);
+    ]
+
+module IM = Map.Make (Int)
+
+type bt_op = B_insert of int * int | B_epoch | B_release of int | B_flush | B_flush_drop
+
+let bt_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (40, map2 (fun k v -> B_insert (k, v)) (int_bound 1_500) (int_bound 1_000));
+      (2, return B_epoch);
+      (1, map (fun i -> B_release i) small_nat);
+      (1, return B_flush);
+      (1, return B_flush_drop);
+    ]
+
+let show_bt_op = function
+  | B_insert (k, v) -> Printf.sprintf "insert %d %d" k v
+  | B_epoch -> "epoch"
+  | B_release i -> Printf.sprintf "release %d" i
+  | B_flush -> "flush"
+  | B_flush_drop -> "flush+drop"
+
+(* Random inserts over several epochs with retained and released
+   snapshots and cold caches: every live root answers like its model,
+   and releasing every root leaves only the test's own value blocks. *)
+let prop_btree_multi_epoch_model =
+  QCheck.Test.make ~name:"multi-epoch btree agrees with a Map model per root" ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_bt_op ops))
+       QCheck.Gen.(list_size (int_range 1 800) bt_op_gen))
+    (fun ops ->
+      let dev, alloc, t = mktree () in
+      let pool = Array.init 6 (fun _ -> Alloc.alloc alloc) in
+      let epoch = ref 1 in
+      Btree.begin_epoch t !epoch;
+      let root = ref (Btree.empty_root t) and model = ref IM.empty and snaps = ref [] in
+      let flush () = Devarray.await dev (Btree.flush_dirty t) in
+      List.iter
+        (function
+          | B_insert (k, v) ->
+            let value =
+              if v mod 3 = 0 then begin
+                let p = pool.(v mod Array.length pool) in
+                Alloc.incref alloc p;
+                Btree.Ptr p
+              end
+              else Btree.Imm (Int64.of_int (v - 500))
+            in
+            root := Btree.insert t ~root:!root ~key:(Int64.of_int k) value;
+            model := IM.add k value !model
+          | B_epoch ->
+            snaps := (!root, !model) :: !snaps;
+            Btree.retain_root t !root;
+            incr epoch;
+            Btree.begin_epoch t !epoch
+          | B_release i ->
+            if !snaps <> [] then begin
+              let i = i mod List.length !snaps in
+              Btree.release_root t (fst (List.nth !snaps i));
+              snaps := List.filteri (fun j _ -> j <> i) !snaps
+            end
+          | B_flush -> flush ()
+          | B_flush_drop ->
+            flush ();
+            Btree.drop_cache t)
+        ops;
+      let agrees (r, m) =
+        let range lo hi =
+          Btree.fold_range t ~root:r ~lo:(Int64.of_int lo) ~hi:(Int64.of_int hi) ~init:[]
+            ~f:(fun acc k v -> (Int64.to_int k, v) :: acc)
+          |> List.rev
+        in
+        IM.for_all (fun k v -> Btree.find t ~root:r (Int64.of_int k) = Some v) m
+        && Btree.find t ~root:r 1_501L = None
+        && range 0 1_500 = IM.bindings m
+        && range 400 900 = List.filter (fun (k, _) -> k >= 400 && k <= 900) (IM.bindings m)
+      in
+      let roots = (!root, !model) :: !snaps in
+      let ok = List.for_all agrees roots in
+      List.iter (fun (r, _) -> Btree.release_root t r) roots;
+      ok
+      && Alloc.live_blocks alloc = Array.length pool
+      && Array.for_all (fun p -> Alloc.refcount alloc p = 1) pool)
+
+(* Cached nodes share the device's bytes: a flushed tree keeps little
+   beyond the device's own copy of each node. *)
+let test_btree_retention () =
+  let dev, _, t = mktree () in
+  Btree.begin_epoch t 1;
+  let n = 200_000 in
+  let root = ref (Btree.empty_root t) in
+  for i = 0 to n - 1 do
+    root := Btree.insert t ~root:!root ~key:(Int64.of_int i) (Btree.Imm (Int64.of_int i))
+  done;
+  Devarray.await dev (Btree.flush_dirty t);
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr dev) in
+  let per_key = float_of_int words /. float_of_int n in
+  if per_key > 3.0 then
+    Alcotest.failf "%.1f words per key retained beyond the device, bound 3" per_key
+
 (* ------------------------------------------------------------------ *)
 (* Store: generations                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -632,6 +850,62 @@ let test_fsck_reports_rotted_leaf () =
   Store.drop_caches s;
   let r = Store.fsck s in
   check_bool "rotted leaf reported" true (r.Store.problems <> [])
+
+(* A page or blob index must fit the key's 32-bit index field: 2^33
+   for oid 1 would otherwise name oid 2's record length. *)
+let test_store_index_out_of_range () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:2 "two";
+  let rejected f = match f () with () -> false | exception Invalid_argument _ -> true in
+  check_bool "page index 2^33" true
+    (rejected (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 33) ~seed:1L));
+  check_bool "page index 2^32" true
+    (rejected (fun () -> Store.put_page s ~oid:1 ~pindex:(1 lsl 32) ~seed:1L));
+  check_bool "batched page index 2^33" true
+    (rejected (fun () -> Store.put_pages s ~oid:1 [| (0, 1L); (1 lsl 33, 2L) |]));
+  check_bool "blob index 2^33" true
+    (rejected (fun () -> Store.put_blob s ~oid:1 ~index:(1 lsl 33) "blob"));
+  Store.put_page s ~oid:1 ~pindex:((1 lsl 32) - 1) ~seed:1L;
+  let g, d = Store.commit s () in
+  Store.wait_durable s d;
+  check_bool "oid 2's record intact" true (Store.read_record s g ~oid:2 = Some "two");
+  check_bool "largest page index" true
+    (Store.read_page s g ~oid:1 ~pindex:((1 lsl 32) - 1) = Some 1L);
+  check_bool "rejected batch left no page" true (Store.read_page s g ~oid:1 ~pindex:0 = None);
+  expect_clean_fsck "fsck" s
+
+(* A committed leaf whose keys are no longer ascending would make
+   binary search miss entries silently; fsck reports it against its
+   generation instead. *)
+let test_fsck_reports_unsorted_leaf () =
+  let _, dev = mkdev () in
+  let s = Store.format ~protection:{ Store.verify = false; mirror = false } ~dev () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:1 "record";
+  Store.put_page s ~oid:1 ~pindex:0 ~seed:4242L;
+  let g, d = Store.commit s () in
+  Store.wait_durable s d;
+  let leaves =
+    List.filter
+      (fun (b, d) -> b >= 2 && String.length d > 0 && d.[0] = '\000')
+      (device_nodes dev)
+  in
+  let leaf, d =
+    match leaves with
+    | [ l ] -> l
+    | l -> Alcotest.failf "expected one leaf, found %d" (List.length l)
+  in
+  (* Swap the leaf's first two 17-byte entries. *)
+  let e i = String.sub d (9 + (17 * i)) 17 in
+  let swapped = String.sub d 0 9 ^ e 1 ^ e 0 ^ String.sub d 43 (String.length d - 43) in
+  Devarray.write dev leaf (Blockdev.Data swapped);
+  Store.drop_caches s;
+  let r = Store.fsck s in
+  let prefix = Printf.sprintf "generation %d: " g in
+  check_bool "unsorted leaf reported against its generation" true
+    (List.exists (String.starts_with ~prefix) r.Store.problems)
 
 type store_op =
   | S_commit of (int * int64) list  (* pages for oid 1 *)
@@ -1447,6 +1721,12 @@ let () =
           Alcotest.test_case "fold_range" `Quick test_btree_fold_range;
           qt prop_btree_matches_hashtable;
           qt prop_btree_fold_range_matches_model;
+          Alcotest.test_case "golden node format" `Quick test_btree_golden_format;
+          Alcotest.test_case "committed nodes are immutable" `Quick
+            test_btree_committed_nodes_immutable;
+          Alcotest.test_case "bad nodes rejected on read" `Quick test_btree_rejects_bad_nodes;
+          qt prop_btree_multi_epoch_model;
+          Alcotest.test_case "retained words per key" `Quick test_btree_retention;
         ] );
       ( "store",
         [
@@ -1457,6 +1737,7 @@ let () =
           Alcotest.test_case "in-place gc" `Quick test_store_gc_in_place;
           Alcotest.test_case "full gc then reuse" `Quick test_store_gc_all_then_reuse;
           Alcotest.test_case "named checkpoints" `Quick test_store_named_checkpoints;
+          Alcotest.test_case "index beyond 32 bits rejected" `Quick test_store_index_out_of_range;
           qt prop_store_generations_independent;
         ] );
       ( "fsck",
@@ -1465,6 +1746,8 @@ let () =
           qt prop_store_history_invariants;
           Alcotest.test_case "rotted leaf is a problem, not an exception" `Quick
             test_fsck_reports_rotted_leaf;
+          Alcotest.test_case "unsorted leaf is a generation problem" `Quick
+            test_fsck_reports_unsorted_leaf;
         ] );
       ( "crash-recovery",
         [
