@@ -34,7 +34,7 @@ let default_path = "aurora.universe"
    one's, so bump the version whenever a type reachable from
    [universe_file] changes (the device's block storage included):
    [load] then rejects an old file instead of misreading it. *)
-let universe_header = "aurora-universe 2\n"
+let universe_header = "aurora-universe 3\n"
 
 let write_universe_file path ~nvme ~apps =
   (* Detach instrumentation before marshaling: the span recorder and

@@ -5,7 +5,7 @@ open Aurora_vm
 
 type gen = int
 
-let magic = "AURORA-SLS-v2"
+let magic = "AURORA-SLS-v3"
 let superblock_slots = 2 (* blocks 0 and 1 *)
 
 (* Two reserved blocks right after the superblocks hold the flight
@@ -17,8 +17,6 @@ let superblock_slots = 2 (* blocks 0 and 1 *)
 let blackbox_slots = 2 (* blocks 2 and 3 *)
 let reserved_blocks = superblock_slots + blackbox_slots
 let bbox_magic = "AURORA-BBSL-v1"
-
-type gen_entry = { root : int; name : string option }
 
 (* --- integrity / fault taxonomy ------------------------------------- *)
 
@@ -85,12 +83,26 @@ let bytes_written p =
   (p.pv_data_blocks + p.pv_mirror_blocks + p.pv_meta_blocks + p.pv_commit_blocks)
   * Blockdev.block_size
 
+(* One committed generation: its tree root, optional name, write-time
+   provenance, and when its superblock (hence everything it
+   references) is durable — [None] for a generation recovered from
+   disk. Awaiting [durable_at] covers exactly one epoch's writes, not
+   the whole array's. *)
+type gen_entry = {
+  root : int;
+  name : string option;
+  prov : provenance;
+  mutable durable_at : Duration.t option;
+}
+
+module Gens = Map.Make (Int)
+
 type t = {
   dev : Devarray.t;
   alloc : Alloc.t;
   tree : Btree.t;
   dedup_enabled : bool;
-  gens : (gen, gen_entry) Hashtbl.t;
+  mutable gens : gen_entry Gens.t;   (* the generation table, by number *)
   mutable commit_seq : int;          (* superblock alternation counter *)
   mutable next_gen : gen;
   mutable gentable_blocks : int list; (* blocks holding the current gen table *)
@@ -102,30 +114,26 @@ type t = {
   mutable gentable_mirror_blocks : int list;
   mutable prev_gentable_mirror_blocks : int list;
   mutable gentable_csum : int64;     (* hash of the encoded table *)
-  mutable open_gen : (gen * int) option; (* generation being built, working root *)
+  mutable open_gen : (gen * int * provenance) option;
+  (* The generation being built: its number, working root, provenance. *)
   mutable pending_pages : (int * Blockdev.content) list; (* data block writes *)
   mutable prot : protection;
   io : io_stats;
   mutable repair_log : (int * repair_origin) list;
   mutable quarantined : (gen * string) list;
-  provs : (gen, provenance) Hashtbl.t;
   mutable tel : Telemetry.store option;
-  gen_durable : (gen, Duration.t) Hashtbl.t;
-  (* Committed generation -> when its superblock (hence everything it
-     references) is durable. The pipeline's per-generation horizon:
-     awaiting this covers exactly one epoch's writes, unlike the old
-     whole-array [busy_until] barrier. *)
   mutable sb_horizon : Duration.t;
   (* Completion time of the newest superblock write. Each superblock
      is ordered after the previous one (written with [not_before] at
      least this), so superblock durability is monotone in commit
      order: recovery always sees a committed *prefix* of generations,
      never a torn suffix. *)
-  mutable deferred : (Duration.t * int list) list;
+  deferred : (Duration.t * int list) Queue.t;
   (* Freed blocks parked until the first superblock written after the
-     free is durable (release time, blocks), ascending. Reusing them
-     earlier could tear a crash that falls back to an older superblock
-     still referencing them. *)
+     free is durable (release time, blocks). Superblock durability is
+     monotone, so the queue is in release order. Reusing them earlier
+     could tear a crash that falls back to an older superblock still
+     referencing them. *)
   mutable bbox_seq : int; (* black-box slot alternation counter *)
   mutable read_cls : Iosched.cls;
   (* The I/O class charged for store reads. [Foreground] normally;
@@ -134,16 +142,8 @@ type t = {
      reads for reserved scheduler slack. *)
 }
 
-let generations t =
-  Hashtbl.fold (fun g _ acc -> g :: acc) t.gens [] |> List.sort Int.compare
-
-let latest t =
-  match generations t with [] -> None | gens -> Some (List.nth gens (List.length gens - 1))
-
-let open_prov t =
-  match t.open_gen with
-  | Some (g, _) -> Hashtbl.find_opt t.provs g
-  | None -> None
+let generations t = List.map fst (Gens.bindings t.gens)
+let latest t = Option.map fst (Gens.max_binding_opt t.gens)
 
 (* --- key encoding ---------------------------------------------------
    key = oid * 2^34 + kind * 2^32 + index
@@ -267,26 +267,27 @@ let verified_read t block =
 
 let release_ready_frees t =
   let now = Clock.now (Devarray.clock t.dev) in
-  let ready, waiting =
-    List.partition (fun (at, _) -> Duration.(at <= now)) t.deferred
+  let rec pop released =
+    match Queue.peek_opt t.deferred with
+    | Some (at, blocks) when Duration.(at <= now) ->
+      ignore (Queue.take t.deferred);
+      Alloc.release t.alloc blocks;
+      pop (released + List.length blocks)
+    | Some _ | None -> released
   in
-  t.deferred <- waiting;
-  List.iter (fun (_, blocks) -> Alloc.release t.alloc blocks) ready;
-  (match t.tel with
-   | Some s when ready <> [] ->
-     Telemetry.alloc_defer s ~op:"release" ~us:0.
-       ~blocks:(List.fold_left (fun acc (_, bs) -> acc + List.length bs) 0 ready)
-   | _ -> ());
-  ready <> []
+  let blocks = pop 0 in
+  if blocks > 0 then
+    Option.iter (fun s -> Telemetry.alloc_defer s ~op:"release" ~us:0. ~blocks) t.tel;
+  blocks > 0
 
 (* Capacity-pressure hook: rather than declare the device full while
    freed blocks sit gated behind an in-flight superblock, block until
    the earliest gating superblock lands and hand the blocks back. *)
 let settle_deferred_frees t =
   let released = release_ready_frees t in
-  match t.deferred with
-  | [] -> released
-  | (at, _) :: _ ->
+  match Queue.peek_opt t.deferred with
+  | None -> released
+  | Some (at, _) ->
     let now = Clock.now (Devarray.clock t.dev) in
     Devarray.await t.dev at;
     Option.iter
@@ -379,17 +380,15 @@ let make ?(dedup = true) ?prot dev =
   let tree = Btree.create ~dev ~alloc in
   let t =
     { dev; alloc; tree; dedup_enabled = dedup;
-      gens = Hashtbl.create 16; commit_seq = 0; next_gen = 1;
+      gens = Gens.empty; commit_seq = 0; next_gen = 1;
       gentable_blocks = []; prev_gentable_blocks = [];
       gentable_mirror_blocks = []; prev_gentable_mirror_blocks = [];
       gentable_csum = hash_string ""; open_gen = None; pending_pages = [];
       prot;
       io = { read_retries = 0; checksum_failures = 0; repaired_from_mirror = 0;
              repaired_from_dedup = 0; lost_blocks = 0 };
-      repair_log = []; quarantined = []; provs = Hashtbl.create 16;
-      tel = None;
-      gen_durable = Hashtbl.create 16; sb_horizon = Duration.zero;
-      deferred = []; bbox_seq = 0; read_cls = Iosched.Foreground }
+      repair_log = []; quarantined = []; tel = None; sb_horizon = Duration.zero;
+      deferred = Queue.create (); bbox_seq = 0; read_cls = Iosched.Foreground }
   in
   Alloc.set_deferred_frees alloc true;
   Alloc.set_pressure_hook alloc (fun () -> settle_deferred_frees t);
@@ -407,8 +406,7 @@ let valid_block t b =
    a checksum and a mirror entry per block in it — is named through
    [sb_depth] levels of index blocks instead: each level is a Serial
    list of block numbers chunked over blocks, and the deepest level
-   lists the table's own chunks. An inline superblock keeps the
-   original magic and layout byte for byte. *)
+   lists the table's own chunks. An inline table has depth 0. *)
 type superblock = {
   sb_seq : int;
   sb_next_gen : int;
@@ -420,8 +418,6 @@ type superblock = {
   sb_table_csum : int64;
 }
 
-let magic_indexed = "AURORA-SLS-v3"
-
 (* Block numbers per copy an indexed superblock lists. *)
 let index_fanout = 200
 
@@ -429,10 +425,10 @@ let index_fanout = 200
    corrupted slot is rejected at recovery instead of trusted. *)
 let encode_superblock sb =
   let w = Serial.writer () in
-  Serial.w_string w (if sb.sb_depth = 0 then magic else magic_indexed);
+  Serial.w_string w magic;
   Serial.w_int w sb.sb_seq;
   Serial.w_int w sb.sb_next_gen;
-  if sb.sb_depth > 0 then Serial.w_int w sb.sb_depth;
+  Serial.w_int w sb.sb_depth;
   Serial.w_list w Serial.w_int sb.sb_table;
   Serial.w_u8 w (if sb.sb_verify then 1 else 0);
   Serial.w_u8 w (if sb.sb_mirror then 1 else 0);
@@ -450,12 +446,11 @@ let decode_superblock data =
   if Serial.r_int64 outer <> hash_string payload then None
   else
     let r = Serial.reader payload in
-    let m = Serial.r_string r in
-    if m <> magic && m <> magic_indexed then None
+    if Serial.r_string r <> magic then None
     else begin
       let sb_seq = Serial.r_int r in
       let sb_next_gen = Serial.r_int r in
-      let sb_depth = if m = magic then 0 else Serial.r_int r in
+      let sb_depth = Serial.r_int r in
       let sb_table = Serial.r_list r Serial.r_int in
       let sb_verify = Serial.r_u8 r = 1 in
       let sb_mirror = Serial.r_u8 r = 1 in
@@ -532,45 +527,38 @@ let w_column w iter w_value =
       Serial.w_int w b;
       w_value w v)
 
+(* The rows in generation order, then the block table's checksum and
+   mirror columns, then each row's provenance (so offline inspection
+   of a reopened store sees write-time accounting too). Every field of
+   a provenance row is a fixed-width int, and the last one written is
+   the newest generation's [pv_commit_blocks]. *)
 let encode_gentable t =
   let w = Serial.writer () in
-  let entries =
-    Hashtbl.fold (fun g e acc -> (g, e) :: acc) t.gens []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+  let rows = Gens.bindings t.gens in
   Serial.w_list w (fun w (g, e) ->
       Serial.w_int w g;
       Serial.w_int w e.root;
       Serial.w_option w Serial.w_string e.name)
-    entries;
+    rows;
   if t.prot.verify then w_column w (Alloc.iter_checksums t.alloc) Serial.w_int64;
   if t.prot.mirror then w_column w (Alloc.iter_mirrors t.alloc) Serial.w_int;
-  (* Provenance of committed generations rides in the table so offline
-     inspection of a reopened store sees write-time accounting too. *)
-  let pvs =
-    Hashtbl.fold
-      (fun g p acc -> if Hashtbl.mem t.gens g then (g, p) :: acc else acc)
-      t.provs []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
   Serial.w_list w
-    (fun w (_, p) ->
+    (fun w (_, { prov = p; _ }) ->
       List.iter (Serial.w_int w)
         [ p.pv_gen; p.pv_records; p.pv_pages; p.pv_blobs; p.pv_logical_bytes;
           p.pv_data_blocks; p.pv_dedup_hits; p.pv_dedup_saved_bytes;
           p.pv_mirror_blocks; p.pv_meta_blocks; p.pv_commit_blocks ])
-    pvs;
+    rows;
   Serial.contents w
 
 (* Checksums and mirrors go straight into the block table. *)
 let decode_gentable t data =
   let r = Serial.reader data in
-  let entries =
+  let rows =
     Serial.r_list r (fun r ->
         let g = Serial.r_int r in
         let root = Serial.r_int r in
-        let name = Serial.r_option r Serial.r_string in
-        (g, { root; name }))
+        (g, root, Serial.r_option r Serial.r_string))
   in
   let block r =
     let b = Serial.r_int r in
@@ -598,7 +586,12 @@ let decode_gentable t data =
             pv_mirror_blocks; pv_meta_blocks; pv_commit_blocks }
         | _ -> assert false)
   in
-  (entries, provs)
+  if List.compare_lengths rows provs <> 0
+     || List.exists2 (fun (g, _, _) p -> p.pv_gen <> g) rows provs
+  then raise (Serial.Corrupt "provenance rows do not match the generations");
+  List.fold_left2
+    (fun gens (g, root, name) prov -> Gens.add g { root; name; prov; durable_at = None } gens)
+    Gens.empty rows provs
 
 let format ?dedup ?protection ~dev () =
   let t = make ?dedup ?prot:protection dev in
@@ -636,7 +629,7 @@ let begin_generation t ?base () =
     match base with
     | None -> Btree.empty_root t.tree
     | Some b -> (
-      match Hashtbl.find_opt t.gens b with
+      match Gens.find_opt b t.gens with
       | None -> invalid_arg (Printf.sprintf "Store: unknown base generation %d" b)
       | Some e ->
         (* The working tree holds its own reference; the base keeps
@@ -644,14 +637,16 @@ let begin_generation t ?base () =
         Btree.retain_root t.tree e.root;
         e.root)
   in
-  t.open_gen <- Some (g, root);
-  Hashtbl.replace t.provs g (fresh_provenance g);
+  t.open_gen <- Some (g, root, fresh_provenance g);
   g
 
+let open_prov t =
+  let _, _, prov = require_open t in
+  prov
+
 let tree_insert t key value =
-  let g, root = require_open t in
-  let root' = Btree.insert t.tree ~root ~key value in
-  t.open_gen <- Some (g, root')
+  let g, root, prov = require_open t in
+  t.open_gen <- Some (g, Btree.insert t.tree ~root ~key value, prov)
 
 let note_csum t block content =
   if t.prot.verify then Alloc.set_checksum t.alloc block (checksum_content content)
@@ -662,16 +657,13 @@ let note_csum t block content =
 let queue_data t block content =
   note_csum t block content;
   t.pending_pages <- (block, content) :: t.pending_pages;
-  (match open_prov t with
-   | Some p -> p.pv_data_blocks <- p.pv_data_blocks + 1
-   | None -> ());
+  let p = open_prov t in
+  p.pv_data_blocks <- p.pv_data_blocks + 1;
   if t.prot.mirror && Alloc.mirror t.alloc block = None then begin
     let m = Alloc.alloc t.alloc in
     Alloc.set_mirror t.alloc block m;
     t.pending_pages <- (m, content) :: t.pending_pages;
-    match open_prov t with
-    | Some p -> p.pv_mirror_blocks <- p.pv_mirror_blocks + 1
-    | None -> ()
+    p.pv_mirror_blocks <- p.pv_mirror_blocks + 1
   end
 
 (* A dedup hit (or an intra-batch duplicate) is one avoided write:
@@ -679,11 +671,9 @@ let queue_data t block content =
 let note_dedup_saved t ~hits ~bytes =
   if hits > 0 then begin
     Alloc.note_saved t.alloc ~bytes;
-    match open_prov t with
-    | Some p ->
-      p.pv_dedup_hits <- p.pv_dedup_hits + hits;
-      p.pv_dedup_saved_bytes <- p.pv_dedup_saved_bytes + bytes
-    | None -> ()
+    let p = open_prov t in
+    p.pv_dedup_hits <- p.pv_dedup_hits + hits;
+    p.pv_dedup_saved_bytes <- p.pv_dedup_saved_bytes + bytes
   end
 
 (* The block for a page or blob: a stored duplicate gains a reference
@@ -703,13 +693,10 @@ let content_block t content ~bytes =
     block
 
 let put_record t ~oid data =
-  let _, root = require_open t in
+  let _, root, p = require_open t in
   Option.iter (fun s -> Telemetry.store_put s ~records:1 ~pages:0) t.tel;
-  (match open_prov t with
-   | Some p ->
-     p.pv_records <- p.pv_records + 1;
-     p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
-   | None -> ());
+  p.pv_records <- p.pv_records + 1;
+  p.pv_logical_bytes <- p.pv_logical_bytes + String.length data;
   (* Stale chunks from a longer previous record are overwritten with
      immediates so their blocks are released. *)
   let old_chunks =
@@ -738,14 +725,11 @@ let put_record t ~oid data =
     (Btree.Imm (Int64.of_int nchunks))
 
 let put_page t ~oid ~pindex ~seed =
-  let _ = require_open t in
+  let p = open_prov t in
   let k = key ~oid ~kind:kind_page ~index:pindex in
   Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:1) t.tel;
-  (match open_prov t with
-   | Some p ->
-     p.pv_pages <- p.pv_pages + 1;
-     p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size
-   | None -> ());
+  p.pv_pages <- p.pv_pages + 1;
+  p.pv_logical_bytes <- p.pv_logical_bytes + Blockdev.block_size;
   tree_insert t k (Btree.Ptr (content_block t (Blockdev.Seed seed) ~bytes:Blockdev.block_size))
 
 (* Batched page ingest: dedup hits resolve to existing blocks; the
@@ -754,15 +738,12 @@ let put_page t ~oid ~pindex ~seed =
    contiguous physical run per device instead of scattered singleton
    writes. *)
 let put_pages t ~oid pages =
-  let _ = require_open t in
+  let p = open_prov t in
   let n = Array.length pages in
   let keys = Array.map (fun (pindex, _) -> key ~oid ~kind:kind_page ~index:pindex) pages in
   Option.iter (fun s -> Telemetry.store_put s ~records:0 ~pages:n) t.tel;
-  (match open_prov t with
-   | Some p ->
-     p.pv_pages <- p.pv_pages + n;
-     p.pv_logical_bytes <- p.pv_logical_bytes + (n * Blockdev.block_size)
-   | None -> ());
+  p.pv_pages <- p.pv_pages + n;
+  p.pv_logical_bytes <- p.pv_logical_bytes + (n * Blockdev.block_size);
   if n > 0 then begin
     let hit = Array.make n (-1) in       (* the page's block; -1 until resolved *)
     let slot_of = Array.make n (-1) in   (* index into the fresh extent *)
@@ -823,15 +804,12 @@ let put_pages t ~oid pages =
   end
 
 let put_blob t ~oid ~index data =
-  let _ = require_open t in
+  let p = open_prov t in
   if String.length data > Blockdev.block_size then
     invalid_arg "Store.put_blob: blob exceeds block size";
   let k = key ~oid ~kind:kind_blob ~index in
-  (match open_prov t with
-   | Some p ->
-     p.pv_blobs <- p.pv_blobs + 1;
-     p.pv_logical_bytes <- p.pv_logical_bytes + String.length data
-   | None -> ());
+  p.pv_blobs <- p.pv_blobs + 1;
+  p.pv_logical_bytes <- p.pv_logical_bytes + String.length data;
   tree_insert t k (Btree.Ptr (content_block t (Blockdev.Data data) ~bytes:(String.length data)))
 
 (* Checksum and mirror the B+tree node flush: observes the queued node
@@ -855,7 +833,7 @@ let meta_tee t writes =
     writes;
   List.rev !extra
 
-let write_superblock ?(after = Duration.zero) t =
+let write_superblock ?(after = Duration.zero) ?commit t =
   (* Allocate and queue the new generation table (and its mirror)
      before touching any in-memory state: an out-of-space or device
      failure here unwinds cleanly, with the fresh blocks reclaimed by
@@ -872,12 +850,27 @@ let write_superblock ?(after = Duration.zero) t =
      commit barrier: unrelated app I/O and *younger* epochs sharing
      the queues no longer gate this commit, yet a durable superblock
      still implies durable contents, and superblock durability stays
-     monotone in commit order (the crash-prefix invariant). *)
+     monotone in commit order (the crash-prefix invariant).
+
+     A commit passes its generation's provenance as [commit]: the table
+     carries its commit-block count, which the table's own size
+     decides. The count is that row's last field and the committing
+     generation is the newest, so it fills the table's last 8 bytes. *)
   let table = encode_gentable t in
-  let chunks = chunk_string table in
-  let depth =
-    List.length (index_plan t ~copies:(if t.prot.mirror then 2 else 1) (List.length chunks))
+  let nchunks = (String.length table + Blockdev.block_size - 1) / Blockdev.block_size in
+  let copies = if t.prot.mirror then 2 else 1 in
+  let plan = index_plan t ~copies nchunks in
+  let table =
+    match commit with
+    | None -> table
+    | Some p ->
+      p.pv_commit_blocks <- 1 (* superblock *) + (copies * (nchunks + List.fold_left ( + ) 0 plan));
+      let b = Bytes.of_string table in
+      Bytes.set_int64_le b (Bytes.length b - 8) (Int64.of_int p.pv_commit_blocks);
+      Bytes.unsafe_to_string b
   in
+  let chunks = chunk_string table in
+  let depth = List.length plan in
   let blocks = List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks in
   let mirror_blocks =
     if t.prot.mirror then List.map (fun chunk -> (Alloc.alloc t.alloc, chunk)) chunks
@@ -914,7 +907,7 @@ let write_superblock ?(after = Duration.zero) t =
      Option.iter
        (fun s -> Telemetry.alloc_defer s ~op:"park" ~us:0. ~blocks:(List.length parked))
        t.tel;
-     t.deferred <- t.deferred @ [ (durable_at, parked) ]);
+     Queue.add (durable_at, parked) t.deferred);
   t.sb_horizon <- durable_at;
   ignore (release_ready_frees t);
   durable_at
@@ -940,18 +933,17 @@ let rec walk_tree ?(on_error = fun _ e -> raise e) t block ~visit =
    [f] raising [Fail (Unreadable_block _)] or [Serial.Corrupt] names
    the reason to drop the generation, which [drop] receives. *)
 let iter_gens_or_drop t f ~drop =
-  List.iter
-    (fun g ->
-      match f (Hashtbl.find t.gens g).root with
+  Gens.iter
+    (fun g e ->
+      match f e.root with
       | () -> ()
       | exception Fail (Unreadable_block { block; cause }) ->
         drop g (Printf.sprintf "block %d: %s" block cause)
       | exception Serial.Corrupt msg -> drop g msg)
-    (generations t)
+    t.gens
 
 let quarantine t g reason =
-  Hashtbl.remove t.gens g;
-  Hashtbl.remove t.provs g;
+  t.gens <- Gens.remove g t.gens;
   t.quarantined <- (g, reason) :: t.quarantined
 
 exception Restart
@@ -1018,11 +1010,9 @@ let rebuild t =
   (* Deferred frees still gated by an in-flight superblock are
      quarantined rather than released: an older superblock referencing
      them could still win a post-crash recovery. They leak as holes
-     the fresh pointer skips — reclaimed at the next full reopen. *)
-  List.iter
-    (fun (_, blocks) -> List.iter (Alloc.bump_fresh t.alloc) blocks)
-    t.deferred;
-  t.deferred <- []
+     the fresh pointer skips. *)
+  Queue.iter (fun (_, blocks) -> List.iter (Alloc.bump_fresh t.alloc) blocks) t.deferred;
+  Queue.clear t.deferred
 
 (* --- commit (continued) ---------------------------------------------- *)
 
@@ -1032,10 +1022,11 @@ let note_flush t ~gen ~started ~durable_at ~data_blocks =
     t.tel
 
 let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
-  let g, root = require_open t in
+  let g, root, prov = require_open t in
   let flush_started = Clock.now (Devarray.clock t.dev) in
   t.open_gen <- None;
-  Hashtbl.replace t.gens g { root; name };
+  let entry = { root; name; prov; durable_at = None } in
+  t.gens <- Gens.add g entry t.gens;
   (* Data pages fan out across all stripes (per-device extents,
      overlapping in simulated time); tree nodes follow on whichever
      stripes their blocks map to; the superblock waits on the max of
@@ -1047,58 +1038,41 @@ let commit_unchecked t ?name ?(cls = Iosched.Flush) () =
   t.pending_pages <- [];
   let data_blocks = List.length data_batch in
   if data_batch <> [] then ignore (Devarray.write_async ~cls t.dev data_batch);
-  let prov = Hashtbl.find_opt t.provs g in
   (* The tee sees every flushed tree node, so provenance counts them
      even when the protection machinery (the tee's other job) is off. *)
   let counting_tee writes =
     let extra =
       if t.prot.verify || t.prot.mirror then meta_tee t writes else []
     in
-    (match prov with
-     | Some p ->
-       p.pv_meta_blocks <- p.pv_meta_blocks + List.length writes;
-       p.pv_mirror_blocks <- p.pv_mirror_blocks + List.length extra
-     | None -> ());
+    prov.pv_meta_blocks <- prov.pv_meta_blocks + List.length writes;
+    prov.pv_mirror_blocks <- prov.pv_mirror_blocks + List.length extra;
     extra
   in
   ignore (Btree.flush_dirty ~tee:counting_tee ~cls t.tree);
-  (* The gentable carries the provenance rows, so the commit-block
-     count must be final before the table is encoded. Ints serialize
-     fixed-width: a trial encoding has the same size as the real one,
-     so the chunk count measured here is exact. *)
-  (match prov with
-   | Some p ->
-     let chunks = List.length (chunk_string (encode_gentable t)) in
-     let copies = if t.prot.mirror then 2 else 1 in
-     let index = List.fold_left ( + ) 0 (index_plan t ~copies chunks) in
-     p.pv_commit_blocks <- 1 (* superblock *) + (copies * (chunks + index))
-   | None -> ());
   let after = Devarray.group_completion (Devarray.end_group t.dev) in
-  let durable_at = write_superblock ~after t in
-  let g, durable_at =
+  let durable_at = write_superblock ~after ~commit:prov t in
+  let durable_at =
     if (Devarray.profile t.dev).Profile.volatile_cache then begin
       (* No power-loss protection: a synchronous flush is the only way
          to durability, and the application pays for it. *)
       Devarray.flush t.dev;
-      (g, Clock.now (Devarray.clock t.dev))
+      Clock.now (Devarray.clock t.dev)
     end
-    else (g, durable_at)
+    else durable_at
   in
-  Hashtbl.replace t.gen_durable g durable_at;
+  entry.durable_at <- Some durable_at;
   note_flush t ~gen:g ~started:flush_started ~durable_at ~data_blocks;
   (g, durable_at)
 
 let rollback t g =
-  Hashtbl.remove t.gens g;
-  Hashtbl.remove t.provs g;
-  Hashtbl.remove t.gen_durable g;
+  t.gens <- Gens.remove g t.gens;
   t.open_gen <- None;
   t.pending_pages <- [];
   Devarray.discard_group t.dev;
   rebuild t
 
 let commit_result t ?name ?cls () =
-  let g0 = match t.open_gen with Some (g, _) -> g | None -> fst (require_open t) in
+  let g0, _, _ = require_open t in
   match commit_unchecked t ?name ?cls () with
   | res -> Ok res
   | exception Alloc.Out_of_space ->
@@ -1116,7 +1090,7 @@ let commit t ?name ?cls () =
 let abort_generation t =
   match t.open_gen with
   | None -> ()
-  | Some (g, _) ->
+  | Some (g, _, _) ->
     (* Discard the working tree wholesale and recompute allocator,
        dedup and protection state from the committed generations —
        robust even when the abort was triggered halfway through an
@@ -1127,7 +1101,7 @@ let wait_durable t at = Devarray.await t.dev at
 
 (* --- pipeline durability --------------------------------------------- *)
 
-let gen_durable_at t g = Hashtbl.find_opt t.gen_durable g
+let gen_durable_at t g = Option.bind (Gens.find_opt g t.gens) (fun e -> e.durable_at)
 
 let wait_all_durable t =
   if (Devarray.profile t.dev).Profile.volatile_cache then Devarray.flush t.dev
@@ -1136,15 +1110,13 @@ let wait_all_durable t =
 
 (* --- reading --------------------------------------------------------- *)
 
+(* Reading from the open generation is allowed (restores from the
+   working tree are not, but tests peek). *)
 let gen_root t g =
-  match Hashtbl.find_opt t.gens g with
-  | Some e -> Some e.root
-  | None -> (
-    (* Reading from the open generation is allowed (restores from the
-       working tree are not, but tests peek). *)
-    match t.open_gen with
-    | Some (og, root) when og = g -> Some root
-    | _ -> None)
+  match (Gens.find_opt g t.gens, t.open_gen) with
+  | Some e, _ -> Some e.root
+  | None, Some (og, root, _) when og = g -> Some root
+  | None, _ -> None
 
 let read_block_data t block =
   match verified_read t block with
@@ -1275,11 +1247,11 @@ let oids t g =
 
 (* --- generations ----------------------------------------------------- *)
 
+(* By name; a name given to several generations lists the newest
+   first. *)
 let named t =
-  Hashtbl.fold
-    (fun g e acc -> match e.name with Some n -> (n, g) :: acc | None -> acc)
-    t.gens []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Gens.fold (fun g e acc -> match e.name with Some n -> (n, g) :: acc | None -> acc) t.gens []
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
 
 let find_named t name = List.assoc_opt name (named t)
 
@@ -1288,38 +1260,38 @@ let settle_durable t durable =
   else Devarray.await t.dev durable
 
 let name_generation t g name =
-  match Hashtbl.find_opt t.gens g with
+  match Gens.find_opt g t.gens with
   | None -> invalid_arg (Printf.sprintf "Store.name_generation: unknown generation %d" g)
   | Some e ->
-    Hashtbl.replace t.gens g { e with name = Some name };
+    t.gens <- Gens.add g { e with name = Some name } t.gens;
     settle_durable t (write_superblock t)
 
 let gc t ~keep =
   require_closed t;
-  let victims =
-    List.filter (fun g -> not (List.mem g keep)) (generations t)
-  in
+  let victims, kept = Gens.partition (fun g _ -> not (List.mem g keep)) t.gens in
   let before = Alloc.live_blocks t.alloc in
-  List.iter
-    (fun g ->
-      match Hashtbl.find_opt t.gens g with
-      | Some e ->
-        Hashtbl.remove t.gens g;
-        Hashtbl.remove t.provs g;
-        Hashtbl.remove t.gen_durable g;
-        Btree.release_root t.tree e.root
-      | None -> ())
-    victims;
+  t.gens <- kept;
+  Gens.iter (fun _ e -> Btree.release_root t.tree e.root) victims;
   (* The release superblock drains in the background like any other
      commit; the deferral pen keeps the victims' blocks unreusable
      until it is durable, so there is nothing to await here. A
      volatile write cache still needs the explicit flush — completion
      times are not durability there. *)
-  if victims <> [] then begin
+  if not (Gens.is_empty victims) then begin
     ignore (write_superblock t);
     if (Devarray.profile t.dev).Profile.volatile_cache then Devarray.flush t.dev
   end;
   before - Alloc.live_blocks t.alloc
+
+let retire t g =
+  require_closed t;
+  match Gens.find_opt g t.gens with
+  | Some { name = None; root; _ } ->
+    (* The freed blocks stay parked until the next superblock, which
+       drops [g] from the table on disk, is durable. *)
+    t.gens <- Gens.remove g t.gens;
+    Btree.release_root t.tree root
+  | Some _ | None -> ()
 
 (* --- recovery -------------------------------------------------------- *)
 
@@ -1407,9 +1379,8 @@ let open_ ~dev =
       | Some data -> (
         match decode_gentable t data with
         | exception Serial.Corrupt msg -> Error (Bad_generation_table msg)
-        | entries, provs ->
-          List.iter (fun (g, e) -> Hashtbl.replace t.gens g e) entries;
-          List.iter (fun p -> Hashtbl.replace t.provs p.pv_gen p) provs;
+        | gens ->
+          t.gens <- gens;
           Ok t)
     end
   in
@@ -1450,14 +1421,18 @@ let stats t =
     dedup_hits = Alloc.dedup_hits t.alloc;
     dedup_misses = Alloc.dedup_misses t.alloc;
     dedup_bytes_saved = Alloc.dedup_bytes_saved t.alloc;
-    committed_generations = Hashtbl.length t.gens;
+    committed_generations = Gens.cardinal t.gens;
   }
 
 let capacity_blocks t = Devarray.capacity_blocks t.dev
 
 (* --- provenance inspection ------------------------------------------- *)
 
-let gen_provenance t g = Hashtbl.find_opt t.provs g
+let gen_provenance t g =
+  match (Gens.find_opt g t.gens, t.open_gen) with
+  | Some e, _ -> Some e.prov
+  | None, Some (og, _, p) when og = g -> Some p
+  | None, _ -> None
 
 (* Blocks reachable from a generation root, split into tree nodes and
    data blocks. Reads go through the verifying/self-repairing path, so
@@ -1516,7 +1491,7 @@ let gen_report t g =
     (* Blocks also reachable from any other committed generation are
        shared (the COW B+tree structure sharing plus dedup). *)
     let others = Hashtbl.create 4096 in
-    Hashtbl.iter
+    Gens.iter
       (fun g' e ->
         if g' <> g then begin
           let m, d = reachable_blocks t e.root in
@@ -1561,7 +1536,7 @@ let crosscheck t =
   let seen = Hashtbl.create 4096 in
   let add b = Hashtbl.replace seen b () in
   List.iter (List.iter add) (table_blocks t);
-  Hashtbl.iter
+  Gens.iter
     (fun _ e ->
       let m, d = reachable_blocks t e.root in
       let with_mirrors tbl =
@@ -1672,7 +1647,7 @@ let diff t ~from_gen ~to_gen =
   let pages_added = sum (fun d -> d.d_pages_added) in
   let pages_removed = sum (fun d -> d.d_pages_removed) in
   let prov_field f g =
-    match Hashtbl.find_opt t.provs g with Some p -> f p | None -> 0
+    match gen_provenance t g with Some p -> f p | None -> 0
   in
   {
     df_from = from_gen;
@@ -1777,7 +1752,7 @@ let fsck ?(scrub = false) t =
     | Fail e -> problem "node %d: %s" block (describe_error e)
     | e -> raise e
   in
-  Hashtbl.iter (fun _ e -> walk_tree ~on_error t e.root ~visit) t.gens;
+  Gens.iter (fun _ e -> walk_tree ~on_error t e.root ~visit) t.gens;
   (* Reference counts must equal reachable edges. *)
   Hashtbl.iter
     (fun block n ->
@@ -1792,7 +1767,7 @@ let fsck ?(scrub = false) t =
     | Serial.Corrupt msg -> problem "%s: %s" what msg
     | Fail e -> problem "%s: %s" what (describe_error e)
   in
-  Hashtbl.iter
+  Gens.iter
     (fun g _ ->
       readable (Printf.sprintf "generation %d" g) @@ fun () ->
       List.iter

@@ -242,6 +242,9 @@ val generations : t -> gen list
 
 val latest : t -> gen option
 val named : t -> (string * gen) list
+(** Sorted by name; a name shared by several generations lists the
+    newest first. *)
+
 val find_named : t -> string -> gen option
 
 (** [name_generation t g name] attaches (or replaces) a name on a
@@ -252,6 +255,12 @@ val name_generation : t -> gen -> string -> unit
 val gc : t -> keep:gen list -> int
 (** Drop all committed generations not listed; returns how many blocks
     were freed in place. Unknown ids in [keep] are ignored. *)
+
+val retire : t -> gen -> unit
+(** Drop one committed generation without writing a superblock: the
+    table change, and the reuse of the blocks it frees, ride on the
+    next one. Named and unknown generations are left alone. Raises
+    [Invalid_argument] while a generation is open. *)
 
 (* --- introspection -------------------------------------------------- *)
 

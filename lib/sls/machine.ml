@@ -503,9 +503,6 @@ let handle_sls_op t ~pid op =
   in
   match op with
   | Kernel.Sls_ntflush data ->
-    (* No GC here: this is the application's low-latency log path; the
-       accumulated micro-generations are collected by the next
-       checkpoint cycle. *)
     Kernel.Sls_time (Ntlog.flush (group_of_pid ()) data)
   | Kernel.Sls_checkpoint ->
     let b = checkpoint_now t (group_of_pid ()) () in

@@ -20,6 +20,16 @@ let cached_count (g : Types.pgroup) store ~oid =
 let set_cached_count (g : Types.pgroup) ~oid n =
   g.Types.log_counts <- (oid, n) :: List.remove_assoc oid g.Types.log_counts
 
+(* The new micro-generation holds the whole log, so the group's
+   previous one is retired once the commit has succeeded; its drop
+   rides on the next superblock. *)
+let commit_micro (g : Types.pgroup) store =
+  let gen, durable_at = Store.commit store () in
+  Option.iter (Store.retire store) g.Types.log_gen;
+  g.Types.log_gen <- Some gen;
+  g.Types.last_gen <- Some gen;
+  durable_at
+
 let flush ?oid (g : Types.pgroup) data =
   let store = primary_exn g in
   let oid = Option.value ~default:(Oidspace.ntlog g.Types.pgid) oid in
@@ -34,9 +44,7 @@ let flush ?oid (g : Types.pgroup) data =
   let w = Serial.writer () in
   Serial.w_int w (count + 1);
   Store.put_record store ~oid (Serial.contents w);
-  let gen, durable_at = Store.commit store () in
-  g.Types.last_gen <- Some gen;
-  durable_at
+  commit_micro g store
 
 let read ?oid (g : Types.pgroup) =
   let store = primary_exn g in
@@ -58,8 +66,7 @@ let truncate ?oid (g : Types.pgroup) =
   let w = Serial.writer () in
   Serial.w_int w 0;
   Store.put_record store ~oid (Serial.contents w);
-  let gen, _ = Store.commit store () in
-  g.Types.last_gen <- Some gen
+  ignore (commit_micro g store)
 
 let barrier (g : Types.pgroup) =
   match g.Types.last_breakdown with

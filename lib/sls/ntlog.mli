@@ -4,9 +4,11 @@
     store, so a record is durable independently of (and usually long
     before) the next periodic checkpoint — this is the low-latency
     primitive the database ports use in place of their write-ahead
-    logs. Records are replayed (oldest first) by a restored
-    application to repair state newer than its checkpoint, and
-    truncated once a checkpoint has absorbed them. *)
+    logs. A flush or truncation retires the group's previous
+    micro-generation, so the group keeps one however many flushes
+    separate its checkpoints. Records are replayed (oldest first) by a
+    restored application to repair state newer than its checkpoint,
+    and truncated once a checkpoint has absorbed them. *)
 
 open Aurora_simtime
 

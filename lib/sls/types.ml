@@ -80,6 +80,7 @@ type pgroup = {
   mutable last_breakdown : ckpt_breakdown option;
   mutable last_attribution : ckpt_attribution option;
   mutable log_counts : (int * int) list;
+  mutable log_gen : Store.gen option;
   stop_stats : Stats.t;
 }
 
@@ -92,7 +93,7 @@ type pending_ckpt = { pc_group : pgroup; pc_b : ckpt_breakdown }
 let make_pgroup ~pgid ~target ~interval =
   { pgid; target; backends = []; interval; incremental = true; last_gen = None;
     last_barrier = Duration.zero; next_ckpt_at = interval; last_breakdown = None;
-    last_attribution = None; log_counts = []; stop_stats = Stats.create () }
+    last_attribution = None; log_counts = []; log_gen = None; stop_stats = Stats.create () }
 
 let primary_store g =
   List.find_map (function Local { store; _ } -> Some store | Remote _ -> None) g.backends

@@ -105,6 +105,7 @@ type pgroup = {
   mutable last_breakdown : ckpt_breakdown option;
   mutable last_attribution : ckpt_attribution option;
   mutable log_counts : (int * int) list; (** cached log lengths, by store oid *)
+  mutable log_gen : Store.gen option;   (** newest log micro-generation *)
   stop_stats : Stats.t;                 (** stop time per checkpoint, us *)
 }
 

@@ -1117,6 +1117,150 @@ let test_store_latent_healed_by_scrub () =
   Alcotest.(check (option string)) "record survived" (Some "metadata")
     (Store.read_record s g ~oid:1)
 
+(* The table chunks (primary copy, then mirror) the newest superblock
+   names, with its sequence number. *)
+let newest_table_chunks dev =
+  let decode slot =
+    match Devarray.peek dev slot with
+    | Blockdev.Data s -> (
+      let module S = Aurora_posix.Serial in
+      let r = S.reader (S.r_string (S.reader s)) in
+      ignore (S.r_string r);
+      let seq = S.r_int r in
+      ignore (S.r_int r);
+      let depth = S.r_int r in
+      check_int "table listed inline" 0 depth;
+      let table = S.r_list r S.r_int in
+      ignore (S.r_u8 r);
+      ignore (S.r_u8 r);
+      let mirror = S.r_list r S.r_int in
+      Some (seq, table @ mirror))
+    | Blockdev.Seed _ | Blockdev.Zero -> None
+  in
+  match List.filter_map decode [ 0; 1 ] with
+  | [] -> Alcotest.fail "no superblock"
+  | sbs -> List.fold_left (fun a b -> if fst b > fst a then b else a) (List.hd sbs) (List.tl sbs)
+
+(* The generation table is an on-disk format: a fixed history on a
+   protected store — commits, names, a collection and an aborted
+   commit — must write exactly these table chunks to exactly these
+   blocks, superblock after superblock. *)
+let test_store_golden_gentable () =
+  let _, dev = mkdev () in
+  let s = Store.format ~protection:full_protection ~dev () in
+  let buf = Buffer.create 4096 in
+  let last_seq = ref (-1) in
+  let note () =
+    let seq, chunks = newest_table_chunks dev in
+    if seq <> !last_seq then begin
+      last_seq := seq;
+      List.iter
+        (fun b ->
+          match Devarray.peek dev b with
+          | Blockdev.Data c -> Buffer.add_string buf (Printf.sprintf "%d:%s;" b c)
+          | Blockdev.Seed _ | Blockdev.Zero -> Alcotest.failf "table chunk %d is not data" b)
+        chunks
+    end
+  in
+  let commit ?name pages =
+    ignore (Store.begin_generation s ());
+    List.iter
+      (fun (oid, i) -> Store.put_page s ~oid ~pindex:i ~seed:(Int64.of_int ((oid * 1000) + i)))
+      pages;
+    Store.put_record s ~oid:9 (String.make (100 * List.length pages) 'r');
+    let g, _ = Store.commit s ?name () in
+    note ();
+    g
+  in
+  let g1 = commit (List.init 40 (fun i -> (1, i))) in
+  ignore (commit ~name:"second" (List.init 30 (fun i -> (2, i))));
+  Store.name_generation s g1 "first";
+  note ();
+  let g3 = commit (List.init 50 (fun i -> (1, i + 20))) in
+  ignore (Store.begin_generation s ());
+  Store.put_page s ~oid:3 ~pindex:0 ~seed:77L;
+  Store.abort_generation s;
+  let g4 = commit (List.init 10 (fun i -> (3, i))) in
+  ignore (Store.gc s ~keep:[ g1; g3; g4 ]);
+  note ();
+  Store.wait_all_durable s;
+  let g5 = commit ~name:"fifth" (List.init 25 (fun i -> (2, i * 3))) in
+  Alcotest.(check (list int)) "history" [ g1; g3; g4; g5 ] (Store.generations s);
+  (* Recorded with the three-table implementation this one replaced. *)
+  Alcotest.(check string) "table chunks digest" "2b6571c38b05f1594be554c95f3e96d6"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Quarantine drops a generation's whole record: a generation lost to
+   an unreadable leaf is gone from the generation list, the provenance
+   and the durability instants alike. *)
+let test_store_quarantine_drops_record () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dev () in
+  let leaves () =
+    List.filter
+      (fun b ->
+        match Devarray.peek dev b with
+        | Blockdev.Data d -> String.length d > 0 && d.[0] = '\000'
+        | Blockdev.Seed _ | Blockdev.Zero -> false)
+      (List.init (Devarray.used_blocks dev + 8) (fun b -> b + 4))
+  in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:1 "survivor";
+  let g1, d1 = Store.commit s () in
+  Store.wait_durable s d1;
+  let before = leaves () in
+  ignore (Store.begin_generation s ());
+  Store.put_record s ~oid:2 "casualty";
+  let g2, d2 = Store.commit s () in
+  Store.wait_durable s d2;
+  let victim =
+    match List.filter (fun b -> not (List.mem b before)) (leaves ()) with
+    | [ b ] -> b
+    | l -> Alcotest.failf "expected one new leaf, found %d" (List.length l)
+  in
+  check_bool "durability known before the loss" true (Store.gen_durable_at s g2 <> None);
+  Devarray.inject_latent dev victim;
+  ignore (Store.begin_generation s ());
+  Store.abort_generation s;
+  Alcotest.(check (list int)) "quarantined generation dropped" [ g1 ] (Store.generations s);
+  check_bool "its provenance went with it" true (Store.gen_provenance s g2 = None);
+  check_bool "its durability instant went with it" true (Store.gen_durable_at s g2 = None);
+  check_bool "the survivor keeps its record" true (Store.gen_durable_at s g1 <> None)
+
+(* A retired generation leaves the table at once, but the superblock
+   on disk still names it until the next one lands: a rollback in
+   between must not hand its blocks out again, and a crash recovers it
+   whole. *)
+let test_store_retire_rides_next_superblock () =
+  let _, dev = mkdev () in
+  let s = Store.format ~dedup:false ~dev () in
+  let commit ~oid seed n =
+    ignore (Store.begin_generation s ());
+    for i = 0 to n - 1 do
+      Store.put_page s ~oid ~pindex:i ~seed:(Int64.of_int (seed + i))
+    done;
+    fst (Store.commit s ())
+  in
+  let g1 = commit ~oid:1 1000 32 in
+  let g2 = commit ~oid:1 2000 32 in
+  Store.wait_all_durable s;
+  let seeds = List.init 32 (fun i -> Int64.of_int (1000 + i)) in
+  let blocks = List.map (fun seed -> find_block dev ~seed) seeds in
+  Store.retire s g1;
+  Alcotest.(check (list int)) "retired from the table" [ g2 ] (Store.generations s);
+  ignore (Store.begin_generation s ());
+  Store.put_page s ~oid:2 ~pindex:0 ~seed:1L;
+  Store.abort_generation s;
+  ignore (commit ~oid:3 3000 64);
+  check_bool "retired blocks not reused" true
+    (List.for_all2 (fun b seed -> Devarray.peek dev b = Blockdev.Seed seed) blocks seeds);
+  Devarray.crash dev;
+  let s' = Store.open_exn ~dev in
+  Alcotest.(check (list int)) "the durable table still names it" [ g1; g2 ] (Store.generations s');
+  Alcotest.(check (list (pair int int64))) "retired generation whole"
+    (List.mapi (fun i seed -> (i, seed)) seeds)
+    (Array.to_list (Store.read_pages_batch s' g1 ~oid:1 ~pindexes:(Array.init 32 Fun.id)))
+
 let test_store_unrecoverable_loss_drops_generation () =
   let _, dev = mkdev () in
   (* Checksums but no mirror and no dedup: nothing to repair from. *)
@@ -1738,6 +1882,9 @@ let () =
           Alcotest.test_case "full gc then reuse" `Quick test_store_gc_all_then_reuse;
           Alcotest.test_case "named checkpoints" `Quick test_store_named_checkpoints;
           Alcotest.test_case "index beyond 32 bits rejected" `Quick test_store_index_out_of_range;
+          Alcotest.test_case "golden generation table" `Quick test_store_golden_gentable;
+          Alcotest.test_case "retire rides on the next superblock" `Quick
+            test_store_retire_rides_next_superblock;
           qt prop_store_generations_independent;
         ] );
       ( "fsck",
@@ -1776,6 +1923,8 @@ let () =
             test_store_latent_healed_by_scrub;
           Alcotest.test_case "unrecoverable loss drops generation" `Quick
             test_store_unrecoverable_loss_drops_generation;
+          Alcotest.test_case "quarantine drops the whole record" `Quick
+            test_store_quarantine_drops_record;
           Alcotest.test_case "transient reads retried" `Quick
             test_store_transient_reads_retry;
           Alcotest.test_case "fault storm + crash recovers bit-exact" `Quick

@@ -967,6 +967,48 @@ let test_ntflush_survives_crash () =
     (Api.sls_log_read m' { g' with Types.pgid = g.Types.pgid });
   ()
 
+(* Each ntflush commits one micro-generation and releases the group's
+   previous one, so a long run of flushes between checkpoints keeps a
+   constant generation count and a constant flush latency, and the log
+   still reads back whole before and after a crash. The log starts
+   with 300 records, so its keys already span two B+tree leaves and
+   every measured flush copies the same tree path. *)
+let test_ntflush_keeps_one_micro_generation () =
+  let m = Machine.create () in
+  let c, _ = spawn_walker m ~npages:8 ~limit:4 in
+  let g = Machine.persist m (`Container c.Container.cid) in
+  let flush i =
+    let t0 = Machine.now m in
+    Api.sls_barrier_until m (Api.sls_ntflush m g (Printf.sprintf "rec %d" i));
+    Duration.to_us (Duration.sub (Machine.now m) t0)
+  in
+  let warm = 300 in
+  for i = 0 to warm - 1 do
+    ignore (flush i)
+  done;
+  ignore (Machine.checkpoint_now m g ());
+  let store = m.Machine.disk_store in
+  let n = 4_000 in
+  let latency = Array.make n 0. in
+  let gens = ref 0 in
+  for i = 0 to n - 1 do
+    latency.(i) <- flush (warm + i);
+    let count = List.length (Store.generations store) in
+    if i = 0 then gens := count else check_int "generation count" !gens count
+  done;
+  check_bool
+    (Printf.sprintf "4000th ntflush (%.1f us) within 5%% of the 100th (%.1f us)"
+       latency.(n - 1) latency.(99))
+    true
+    (latency.(n - 1) <= latency.(99) *. 1.05);
+  let records = List.init (warm + n) (Printf.sprintf "rec %d") in
+  Alcotest.(check (list string)) "log before crash" records (Api.sls_log_read m g);
+  Machine.crash m;
+  let m' = Machine.recover m in
+  let g' = Machine.persist m' (`Container c.Container.cid) in
+  Alcotest.(check (list string)) "log after crash" records
+    (Api.sls_log_read m' { g' with Types.pgid = g.Types.pgid })
+
 let test_ntflush_not_durable_before_barrier () =
   let m = Machine.create () in
   let c, _ = spawn_walker m ~npages:8 ~limit:4 in
@@ -1150,6 +1192,8 @@ let () =
             test_ntflush_survives_crash;
           Alcotest.test_case "unbarriered flush lost" `Quick
             test_ntflush_not_durable_before_barrier;
+          Alcotest.test_case "one micro-generation per group" `Quick
+            test_ntflush_keeps_one_micro_generation;
         ] );
       ( "baseline",
         [
